@@ -179,7 +179,7 @@ def main(argv=None) -> int:
         "--shards", type=int, default=None, metavar="N",
         help="split the plane into N per-process regions (statistical "
         "equivalence, not bit-exact; incompatible with --trace/--profile"
-        "/--faults; defaults to ECGRID_SHARDS, see docs/performance.md)",
+        "/--faults; see docs/performance.md)",
     )
 
     bench_p = sub.add_parser(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.des.event import Event, EventHandle
@@ -18,11 +17,6 @@ from repro.des.rng import RngStreams
 #: never reach the event object and the pop order is exactly the
 #: ``(time, priority, seq)`` total order that :class:`Event` defines.
 _Entry = Tuple[float, int, int, Event]
-
-#: Kill switch for the timer wheel (ablation/debugging): when set, every
-#: ``wheel=True`` schedule goes straight to the binary heap, reproducing
-#: the pre-wheel kernel exactly.
-_WHEEL_DISABLED = bool(os.environ.get("ECGRID_NO_TIMER_WHEEL"))
 
 
 class SimulationError(RuntimeError):
@@ -104,7 +98,6 @@ class Simulator:
         #: awaiting lazy deletion; excludes undrained wheel entries).
         self.heap_high_water: int = 0
         # -- timer wheel ------------------------------------------------
-        self._wheel_enabled = not _WHEEL_DISABLED
         #: slot index -> list of entries booked for [idx*W, (idx+1)*W).
         self._wheel_slots: Dict[int, List[_Entry]] = {}
         #: Min-heap of slot indices present in ``_wheel_slots``.
@@ -143,12 +136,7 @@ class Simulator:
             )
         self._seq += 1
         event = Event(time, priority, self._seq, fn, args)
-        if (
-            wheel
-            and self._wheel_enabled
-            and time >= self._drained_until
-            and time != math.inf
-        ):
+        if wheel and time >= self._drained_until and time != math.inf:
             idx = int(time // self.WHEEL_SLOT_S)
             slot = self._wheel_slots.get(idx)
             if slot is None:
@@ -191,12 +179,7 @@ class Simulator:
         time = self.now + delay
         self._seq += 1
         event = Event(time, priority, self._seq, fn, args)
-        if (
-            wheel
-            and self._wheel_enabled
-            and time >= self._drained_until
-            and time != math.inf
-        ):
+        if wheel and time >= self._drained_until and time != math.inf:
             idx = int(time // self.WHEEL_SLOT_S)
             slot = self._wheel_slots.get(idx)
             if slot is None:

@@ -67,18 +67,6 @@ class BatteryMonitor:
         """
         battery = self.battery
         now = self.sim.now
-        if battery._arr is not None:
-            # Array-backend mirror attached: the inlined arithmetic
-            # below would race the (possibly dirty) array row, so route
-            # through ``Battery.set_draw`` — which reconciles, applies
-            # the *identical* arithmetic, and writes back.
-            battery.set_draw(watts, now)
-            if battery.depleted:
-                self._fire_depleted()
-                return
-            if not self._check_pending:
-                self._book_check()
-            return
         if watts < 0:
             raise ValueError("draw cannot be negative")
         last = battery._last_t
@@ -158,19 +146,10 @@ class BatteryMonitor:
         # Earliest the threshold can be reached, at worst-case draw.
         delay = max(margin / self.max_draw_w, _CHECK_FLOOR_S)
         self._check_pending = True
-        arr = self.battery._arr
-        if arr is not None:
-            arr.safe[self.battery._idx] = True
         self.sim.after(delay, self._check, wheel=True)
 
     def _check(self) -> None:
         self._check_pending = False
-        arr = self.battery._arr
-        if arr is not None:
-            # ``safe`` is ``infinite | pending``, but an infinite
-            # battery never books a check, so this site only ever sees
-            # finite rows — plain False is exact.
-            arr.safe[self.battery._idx] = False
         if self._fired_depleted:
             return
         now = self.sim.now

@@ -20,22 +20,12 @@ class Battery:
     __slots__ = (
         "capacity_j", "infinite", "depleted",
         "_remaining", "_draw_w", "_last_t",
-        "_arr", "_idx",
     )
 
     def __init__(self, capacity_j: float, initial_j: float | None = None) -> None:
         if capacity_j <= 0:
             raise ValueError("capacity must be positive")
         self.capacity_j = capacity_j
-        #: Optional array-backend mirror (see
-        #: :mod:`repro.phy.array_backend`): while attached, batched
-        #: settles may run ahead of the object fields, and every public
-        #: entry point below reconciles (``pull``) before reading and
-        #: writes back (``push``) after mutating.  ``None`` — the
-        #: default and the state whenever ``ECGRID_ARRAY_PHY`` is off —
-        #: keeps every path below byte-identical to the object kernel.
-        self._arr = None
-        self._idx = -1
         #: Plain attributes, not properties: ``set_draw`` runs for every
         #: radio mode flip (hundreds of thousands per simulation) and
         #: descriptor dispatch was a visible slice of its cost.
@@ -51,8 +41,6 @@ class Battery:
     @property
     def draw_w(self) -> float:
         """Current draw in watts."""
-        if self._arr is not None:
-            self._arr.pull(self)
         return self._draw_w
 
     def _settle(self, now: float) -> None:
@@ -72,12 +60,6 @@ class Battery:
     def settle(self, now: float) -> None:
         """Fold the elapsed interval into the store without changing the
         draw (updates the ``depleted`` flag at observation points)."""
-        arr = self._arr
-        if arr is not None:
-            arr.pull(self)
-            self._settle(now)
-            arr.push(self)
-            return
         self._settle(now)
 
     def exhaust(self, now: float) -> None:
@@ -85,14 +67,9 @@ class Battery:
         battery is simply gone).  No-op for infinite batteries."""
         if self.infinite:
             return
-        arr = self._arr
-        if arr is not None:
-            arr.pull(self)
         self._settle(now)
         self._remaining = 0.0
         self.depleted = True
-        if arr is not None:
-            arr.push(self)
 
     def drain(self, joules: float, now: float) -> None:
         """Remove ``joules`` instantly (injected fault or an auxiliary
@@ -104,16 +81,11 @@ class Battery:
             raise ValueError("cannot drain a negative amount")
         if self.infinite:
             return
-        arr = self._arr
-        if arr is not None:
-            arr.pull(self)
         self._settle(now)
         self._remaining -= joules
         if self._remaining <= 1e-12:
             self._remaining = 0.0
             self.depleted = True
-        if arr is not None:
-            arr.push(self)
 
     def recharge(self, joules: float, now: float) -> None:
         """Refill ``joules`` (capped at capacity) and clear depletion —
@@ -122,14 +94,9 @@ class Battery:
             raise ValueError("cannot recharge a negative amount")
         if self.infinite:
             return
-        arr = self._arr
-        if arr is not None:
-            arr.pull(self)
         self._settle(now)
         self._remaining = min(self.capacity_j, self._remaining + joules)
         self.depleted = self._remaining == 0.0
-        if arr is not None:
-            arr.push(self)
 
     # ------------------------------------------------------------------
     def set_draw(self, watts: float, now: float) -> None:
@@ -141,9 +108,6 @@ class Battery:
         """
         if watts < 0:
             raise ValueError("draw cannot be negative")
-        arr = self._arr
-        if arr is not None:
-            arr.pull(self)
         last = self._last_t
         if now < last:
             raise ValueError(f"time went backwards: {now} < {last}")
@@ -156,8 +120,6 @@ class Battery:
                 self.depleted = True
             self._last_t = now
         self._draw_w = watts
-        if arr is not None:
-            arr.push(self)
 
     def remaining_at(self, now: float) -> float:
         """Joules remaining at ``now`` (extrapolating the current draw)."""
@@ -165,8 +127,6 @@ class Battery:
             return math.inf
         if self.depleted:
             return 0.0
-        if self._arr is not None:
-            self._arr.pull(self)
         rem = self._remaining - self._draw_w * (now - self._last_t)
         return max(rem, 0.0)
 
@@ -195,8 +155,6 @@ class Battery:
             return math.inf
         if self.depleted:
             return 0.0
-        if self._arr is not None:
-            self._arr.pull(self)
         if self._draw_w == 0.0:
             return math.inf
         return self.remaining_at(now) / self._draw_w
@@ -204,8 +162,6 @@ class Battery:
     def time_until_rbrc(self, target: float, now: float) -> float:
         """Seconds until Rbrc falls to ``target`` at the current draw
         (inf if never, 0 if already at or below)."""
-        if self._arr is not None:
-            self._arr.pull(self)
         if self.infinite or self._draw_w == 0.0:
             return math.inf if self.rbrc(now) > target else 0.0
         delta = self.remaining_at(now) - target * self.capacity_j

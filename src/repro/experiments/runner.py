@@ -232,17 +232,12 @@ def run_experiment(
     enabled it additionally rides the event loop as an instrument
     (per-event dispatch timing; forces the instrumented loop).
 
-    ``shards`` (or, when None, the ``ECGRID_SHARDS`` environment
-    variable — see :func:`repro.shard.runner.shards_from_env`) routes
-    the run through the space-parallel sharded runner.  Sharded
+    ``shards`` (N >= 2) routes the run through the space-parallel
+    sharded runner (:func:`repro.shard.runner.run_sharded`).  Sharded
     results are statistically, not bitwise, equivalent; runs that need
-    exact dispatch (tracer, instruments, fault plans) always take the
-    single-kernel path below.
+    exact dispatch (tracer, instruments, fault plans, partition
+    scoring) always take the single-kernel path below.
     """
-    if shards is None:
-        from repro.shard.runner import shards_from_env
-
-        shards = shards_from_env()
     if (
         shards is not None
         and shards > 1

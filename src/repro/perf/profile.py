@@ -20,8 +20,6 @@ import io
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.phy import array_backend
-
 #: Substring -> category rules, applied in order to the (unwrapped)
 #: callback qualname.  First match wins.
 CATEGORY_RULES: Tuple[Tuple[str, str], ...] = (
@@ -98,25 +96,9 @@ class KernelProfiler:
             cProfile.Profile() if cprofile else None
         )
         self._t0: Optional[float] = None
-        #: Batched gather calls observed in the ``phy.array``
-        #: bucket (the bucket's ``count`` stays 0 so the per-category
-        #: event counts still sum to :attr:`events`).
-        self.array_calls = 0
-        self._array_backends: Tuple[Any, ...] = ()
-        self._array_seconds_mark = 0.0
-        self._array_calls_mark = 0
 
     # -- Simulator instrument interface --------------------------------
     def on_run_begin(self, sim: Any) -> None:
-        # Any live array-PHY backends self-time their batched sections
-        # while we are attached, so their cost can be carved out of the
-        # enclosing mac / medium-completion buckets into ``phy.array``.
-        backends = array_backend.active_backends()
-        self._array_backends = backends
-        for b in backends:
-            b.timing = True
-        self._array_seconds_mark = sum(b.profile_seconds for b in backends)
-        self._array_calls_mark = sum(b.profile_calls for b in backends)
         self._t0 = perf_counter()
         if self._cprofile is not None:
             self._cprofile.enable()
@@ -124,52 +106,28 @@ class KernelProfiler:
     def on_run_end(self, sim: Any, wall_s: Optional[float] = None) -> None:
         if self._cprofile is not None:
             self._cprofile.disable()
-        for b in self._array_backends:
-            b.timing = False
-        self._array_backends = ()
         if wall_s is None:
             wall_s = perf_counter() - (self._t0 or perf_counter())
         self.wall_seconds += wall_s
         self.heap_high_water = max(self.heap_high_water, sim.heap_high_water)
 
     def on_dispatch(self, event: Any, elapsed: float, queue_len: int) -> None:
-        qualname = callback_name(event.fn)
+        # Keyed on the unwrapped callback: every one-shot timer fires as
+        # ``Timer._fire``, so the wrapper's name would share one bucket.
+        qualname = callback_name(_unwrap(event.fn))
         category = self._by_qualname.get(qualname)
         if category is None:
-            category = self._classify(event.fn, qualname)
-            self._by_qualname[qualname] = category
-        own = elapsed
-        if self._array_backends:
-            seconds = 0.0
-            calls = 0
-            for b in self._array_backends:
-                seconds += b.profile_seconds
-                calls += b.profile_calls
-            delta = seconds - self._array_seconds_mark
-            if delta > 0.0:
-                self._array_seconds_mark = seconds
-                self.array_calls += calls - self._array_calls_mark
-                self._array_calls_mark = calls
-                if delta > elapsed:
-                    delta = elapsed
-                own = elapsed - delta
-                arr_bucket = self.categories.get("phy.array")
-                if arr_bucket is None:
-                    arr_bucket = self.categories["phy.array"] = _Bucket()
-                arr_bucket.seconds += delta
+            category = self._by_qualname[qualname] = self._classify(qualname)
         bucket = self.categories.get(category)
         if bucket is None:
             bucket = self.categories[category] = _Bucket()
         bucket.count += 1
-        bucket.seconds += own
+        bucket.seconds += elapsed
         self.events += 1
         self.callback_seconds += elapsed
 
     # -- classification -------------------------------------------------
-    def _classify(self, fn: Any, qualname: str) -> str:
-        inner = _unwrap(fn)
-        if inner is not fn:
-            qualname = callback_name(inner)
+    def _classify(self, qualname: str) -> str:
         for needle, category in CATEGORY_RULES:
             if needle in qualname:
                 return category
@@ -200,7 +158,6 @@ class KernelProfiler:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "events": self.events,
-            "array_calls": self.array_calls,
             "wall_seconds": self.wall_seconds,
             "callback_seconds": self.callback_seconds,
             "events_per_sec": self.events_per_sec(),
@@ -244,11 +201,6 @@ class KernelProfiler:
             pct = 0.0 if cb == 0 else b.seconds / cb * 100.0
             lines.append(
                 f"  {cat:<28}{b.count:>10}{b.seconds:>10.3f}{pct:>6.1f}%"
-            )
-        if self.array_calls:
-            lines.append(
-                f"  (phy.array: {self.array_calls} batched gather "
-                f"calls, carved out of the enclosing buckets)"
             )
         return "\n".join(lines)
 

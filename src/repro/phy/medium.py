@@ -21,25 +21,14 @@ Design notes
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.des.core import Simulator
 from repro.energy.profile import RadioMode
 from repro.geo.grid import GridCoord, GridMap
 from repro.geo.vector import Vec2
-from repro.phy import array_backend
-from repro.phy.array_backend import _DEPLETION_EPS
 from repro.phy.radio import Radio
-
-#: Kill switches for the spatial-index optimizations (ablation and
-#: debugging).  Each disabled path falls back to the original scan code,
-#: so ``ECGRID_NO_NEAR_CACHE=1 ECGRID_NO_TX_INDEX=1`` reproduces the
-#: pre-optimization medium exactly.
-_NEAR_CACHE_DISABLED = bool(os.environ.get("ECGRID_NO_NEAR_CACHE"))
-_TX_INDEX_DISABLED = bool(os.environ.get("ECGRID_NO_TX_INDEX"))
 
 
 @dataclass
@@ -109,13 +98,6 @@ class _Transmission:
         self.cell_index = -1
 
 
-#: One covering-bucket rectangle of a cached neighbor snapshot:
-#: ``(x0, y0, x1, y1, all_radios, awake, sleepers, len(sleepers),
-#: awake_idx, sleeper_idx)``.
-#: ``awake`` / ``sleepers`` partition the bucket by *base* mode at
-#: build time (OFF radios appear only in ``all_radios``); every base
-#: mode flip invalidates the covering snapshots (via the radio's
-#: ``on_base_mode_flip`` hook), so the partition is never stale.
 class _ForeignSender:
     """Stand-in ``_Transmission.sender`` for frames injected from a
     neighboring region (sharded runs): identical to no local radio, so
@@ -129,11 +111,16 @@ class _ForeignSender:
 _FOREIGN_SENDER = _ForeignSender()
 
 
-#: A snapshot bucket: rect bounds, radio partition, and two trailing
-#: slots the array backend lazily fills with numpy index arrays into
-#: its mirrors (same order as the tuples) — a mutable list exactly so
-#: those slots are writable; the object paths never read them.
-_SnapRect = List[Any]
+#: One covering-bucket rectangle of a cached neighbor snapshot:
+#: ``(x0, y0, x1, y1, all_radios, awake, sleepers, len(sleepers))``.
+#: ``awake`` / ``sleepers`` partition the bucket by *base* mode at
+#: build time (OFF radios appear only in ``all_radios``); every base
+#: mode flip invalidates the covering snapshots (via the radio's
+#: ``on_base_mode_flip`` hook), so the partition is never stale.
+_SnapRect = Tuple[
+    float, float, float, float,
+    Tuple[Radio, ...], Tuple[Radio, ...], Tuple[Radio, ...], int,
+]
 
 
 @dataclass
@@ -222,13 +209,10 @@ class Medium:
         self._inval: Dict[GridCoord, int] = {}
         #: Per-bucket change counters and the rect built from each
         #: bucket at a given count.  Snapshot rebuilds reuse the rect
-        #: *object* for buckets that did not change — content-identical
-        #: either way, but the preserved identity lets the array
-        #: backend's kinetic gather cache recognise that a republished
-        #: snapshot left a sender's neighborhood untouched.
+        #: of every bucket that did not change instead of re-partitioning
+        #: its radios.
         self._rect_stamp: Dict[GridCoord, int] = {}
         self._rect_cache: Dict[GridCoord, Tuple[int, _SnapRect]] = {}
-        self._near_cache_enabled = not _NEAR_CACHE_DISABLED
         #: ``(center cell, radius) -> (stamp, snapshot)`` where the
         #: snapshot lists the non-empty covering buckets in query order
         #: as :data:`_SnapRect` rectangles.  Stale entries are
@@ -240,21 +224,10 @@ class Medium:
         #: Pruned covering offsets memoized per query radius (the
         #: default radius keeps its precomputed ``_ring_offsets``).
         self._radius_offsets: Dict[float, Tuple[GridCoord, ...]] = {}
-        self._tx_index_enabled = not _TX_INDEX_DISABLED
         #: Cell -> in-flight transmissions that started there (swap-pop
         #: lists; empty lists are kept to avoid realloc churn).
         self._active_by_cell: Dict[GridCoord, List[_Transmission]] = {}
         self._rx_in_progress: Dict[int, List[_Reception]] = {}
-        #: Opt-in vectorized reception floor (``ECGRID_ARRAY_PHY=1``;
-        #: see :mod:`repro.phy.array_backend`).  ``None`` keeps every
-        #: path below byte-identical to the object kernel; the backend
-        #: also nulls this out itself if any registering radio cannot
-        #: be mirrored.
-        self._array: Optional[array_backend.ArrayPhyState] = (
-            array_backend.ArrayPhyState(self)
-            if array_backend.enabled()
-            else None
-        )
         self._loss_rng = sim.rng.stream("phy-loss")
         #: Optional fault-injection hook ``(tx_pos, receiver) -> bool``;
         #: True means the reception is lost (the receiver still pays RX
@@ -341,8 +314,6 @@ class Medium:
         # Snapshots partition candidates by base mode, so base-mode
         # flips must invalidate exactly like membership changes do.
         radio.on_base_mode_flip = self._on_base_mode_flip
-        if self._array is not None:
-            self._array.adopt(radio)
         self._epoch += 1
         self._invalidate_around(cell)
 
@@ -476,15 +447,10 @@ class Medium:
                 # OFF radios stay out of both partitions: neither the
                 # receiver loop nor the missed-asleep counter ever
                 # touches them (matching the plain scan's silent skip).
-            # Slots 8/9 memoize the awake/sleeper mirror-index arrays;
-            # the array backend fills them lazily on the first rebuild
-            # that actually straddles this bucket (a list, not a tuple,
-            # exactly so those slots stay writable).
-            rect = [
+            rect = (
                 x0, y0, x0 + side, y0 + side,
                 all_radios, tuple(awake), tuple(sleepers), len(sleepers),
-                None, None,
-            ]
+            )
             rect_cache[bcell] = (bstamp, rect)
             snapshot.append(rect)
         cache[key] = (stamp, snapshot)
@@ -517,7 +483,7 @@ class Medium:
         # Generic queries (RAS paging wakes *sleeping* radios) use the
         # full bucket tuple; the awake/sleeper partition is only for
         # the fused ``transmit`` receiver loop.
-        for x0, y0, x1, y1, radios, _awake, _sleepers, _count, _ai, _si in snapshot:
+        for x0, y0, x1, y1, radios, _awake, _sleepers, _count in snapshot:
             gx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
             gy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
             if gx * gx + gy * gy > skip2:
@@ -563,7 +529,7 @@ class Medium:
     def _scan_near(
         self, cell: GridCoord, pos: Vec2, radius: float
     ) -> List[Radio]:
-        """Original cacheless neighbor scan (also the cold-key path):
+        """Cacheless neighbor scan, the path of cold snapshot keys:
         walk the covering buckets, classify each cell against the disk
         (same guard bands as :meth:`_replay_near`), per-point-test the
         straddlers."""
@@ -619,23 +585,22 @@ class Medium:
         result.
         """
         cell = self.grid.cell_of(pos)
-        if self._near_cache_enabled:
-            snapshot = self._near_snapshot(cell, radius)
-            if snapshot is not None:
-                return self._replay_near(snapshot, pos, radius)
+        snapshot = self._near_snapshot(cell, radius)
+        if snapshot is not None:
+            return self._replay_near(snapshot, pos, radius)
         return self._scan_near(cell, pos, radius)
 
     def channel_busy(self, radio: Radio) -> bool:
         """Carrier sense: is any in-flight transmission audible here?
 
-        With the cell index enabled and enough transmissions in flight,
-        only the sense-range cell neighborhood of the radio's cell is
-        probed; a transmission outside those cells is provably out of
-        sense range (the pruned covering offsets over-approximate the
-        sense disk), and the radio's *own* transmission — the other way
-        the scan can report busy — is at distance ~0 and therefore
-        always inside the probed neighborhood.  Below the cutoff the
-        plain list scan is cheaper and gives the same answer.
+        With enough transmissions in flight, only the sense-range cell
+        neighborhood of the radio's cell is probed; a transmission
+        outside those cells is provably out of sense range (the pruned
+        covering offsets over-approximate the sense disk), and the
+        radio's *own* transmission — the other way the scan can report
+        busy — is at distance ~0 and therefore always inside the probed
+        neighborhood.  Below the cutoff the plain list scan is cheaper
+        and gives the same answer.
         """
         active = self._active
         if not active:
@@ -667,7 +632,7 @@ class Medium:
             py = p[1]
         sense = self.config.sense_range
         sense2 = sense * sense
-        if self._tx_index_enabled and len(active) > self.TX_SCAN_CUTOFF:
+        if len(active) > self.TX_SCAN_CUTOFF:
             by_cell = self._active_by_cell
             grid = self.grid
             side = grid.cell_side
@@ -721,11 +686,9 @@ class Medium:
         so the mode-change condition reduces to ``_effective is not
         RX``, exactly as ``begin_rx`` resolves it).  Receiver order,
         per-radio arithmetic, RNG consumption and stats totals are
-        identical to the plain loop below, which remains the cold-key /
-        cache-disabled path.
+        identical to the plain loop below, which remains the cold-key
+        path.
         """
-        if self._array is not None:
-            return self._transmit_array(sender, payload, wire_bytes)
         config = self.config
         stats = self.stats
         duration = self.airtime(wire_bytes)
@@ -747,21 +710,14 @@ class Medium:
         rx_mode = RadioMode.RX
         fault_hook = self.fault_hook
         cell = self.grid.cell_of(pos)
-        snapshot = (
-            self._near_snapshot(cell, config.range_m)
-            if self._near_cache_enabled
-            else None
-        )
+        snapshot = self._near_snapshot(cell, config.range_m)
         if snapshot is not None:
             px, py = pos
             r2 = config.range_m * config.range_m
             skip2 = r2 * (1.0 + 1e-9)
             take2 = r2 * (1.0 - 1e-9)
             receptions_append = receptions.append
-            for (
-                x0, y0, x1, y1, _all, awake, sleepers, sleep_count,
-                _ai, _si,
-            ) in snapshot:
+            for x0, y0, x1, y1, _all, awake, sleepers, sleep_count in snapshot:
                 gx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
                 gy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
                 if gx * gx + gy * gy > skip2:
@@ -934,16 +890,7 @@ class Medium:
                 radio.begin_rx()
                 receptions.append(rec)
 
-        tx.index = len(self._active)
-        self._active.append(tx)
-        if self._tx_index_enabled:
-            cell = self.grid.cell_of(pos)
-            tx.cell = cell
-            txs = self._active_by_cell.get(cell)
-            if txs is None:
-                txs = self._active_by_cell[cell] = []
-            tx.cell_index = len(txs)
-            txs.append(tx)
+        self._add_active(tx, cell)
         self.sim.after(
             duration + config.propagation_delay_s,
             self._finish,
@@ -952,79 +899,16 @@ class Medium:
         )
         return duration
 
-    def _transmit_array(
-        self, sender: Radio, payload: object, wire_bytes: int
-    ) -> float:
-        """Array-backend twin of :meth:`transmit` (``ECGRID_ARRAY_PHY``).
-
-        Same frame lifecycle, but the receiver set is gathered with one
-        vectorized position/distance pass and the IDLE→RX settles are
-        batched (see :meth:`ArrayPhyState.begin_receptions`); protocol
-        side effects — depletions, check bookings — drop the batch back
-        to the object path in exact receiver order.
-        """
-        arr = self._array
-        config = self.config
-        stats = self.stats
-        duration = self.airtime(wire_bytes)
-        pos = sender.position()
-        sender.begin_tx()
-        now = self.sim.now
-        tx = _Transmission(sender, pos, now + duration)
-        stats.frames_sent += 1
-        stats.bytes_sent += wire_bytes
-        tap = self.boundary_tap
-        if tap is not None:
-            tap(now, pos, payload, wire_bytes, sender.node_id)
-        cell = self.grid.cell_of(pos)
-        timing = arr.timing
-        if timing:
-            t0 = perf_counter()
-        snapshot = (
-            self._near_snapshot(cell, config.range_m)
-            if self._near_cache_enabled
-            else None
-        )
-        if snapshot is not None:
-            receivers = arr.gather_cached(
-                sender, snapshot, pos, now, config.range_m, stats
-            )
-        else:
-            # Cold key / cache disabled: the plain scan yields the
-            # identical candidate order; the begin step re-applies the
-            # half-duplex check.
-            receivers = []
-            idle = RadioMode.IDLE
-            sleep_mode = RadioMode.SLEEP
-            append = receivers.append
-            for radio in self._scan_near(cell, pos, config.range_m):
-                if radio is sender:
-                    continue
-                if radio.base_mode is not idle or radio.transmitting:
-                    if radio.base_mode is sleep_mode:
-                        stats.frames_missed_asleep += 1
-                    continue
-                append(radio)
-        arr.begin_receptions(tx, receivers, pos, now, self)
-        if timing:
-            arr.profile_seconds += perf_counter() - t0
-            arr.profile_calls += 1
+    def _add_active(self, tx: _Transmission, cell: GridCoord) -> None:
+        """Append to the in-flight list and the cell index."""
         tx.index = len(self._active)
         self._active.append(tx)
-        if self._tx_index_enabled:
-            tx.cell = cell
-            txs = self._active_by_cell.get(cell)
-            if txs is None:
-                txs = self._active_by_cell[cell] = []
-            tx.cell_index = len(txs)
-            txs.append(tx)
-        self.sim.after(
-            duration + config.propagation_delay_s,
-            self._finish,
-            tx,
-            payload,
-        )
-        return duration
+        tx.cell = cell
+        txs = self._active_by_cell.get(cell)
+        if txs is None:
+            txs = self._active_by_cell[cell] = []
+        tx.cell_index = len(txs)
+        txs.append(tx)
 
     def _remove_active(self, tx: _Transmission) -> None:
         """O(1) swap-pop removal from the in-flight list and cell index."""
@@ -1033,16 +917,13 @@ class Medium:
         if last is not tx:
             active[tx.index] = last
             last.index = tx.index
-        if tx.cell is not None:
-            txs = self._active_by_cell[tx.cell]
-            tail = txs.pop()
-            if tail is not tx:
-                txs[tx.cell_index] = tail
-                tail.cell_index = tx.cell_index
+        txs = self._active_by_cell[tx.cell]
+        tail = txs.pop()
+        if tail is not tx:
+            txs[tx.cell_index] = tail
+            tail.cell_index = tx.cell_index
 
     def _finish(self, tx: _Transmission, payload: object) -> None:
-        if self._array is not None:
-            return self._finish_array(tx, payload)
         self._remove_active(tx)
         tx.sender.end_tx()
         stats = self.stats
@@ -1162,15 +1043,7 @@ class Medium:
             ongoing.append(rec)
             radio.begin_rx()
             tx.receptions.append(rec)
-        tx.index = len(self._active)
-        self._active.append(tx)
-        if self._tx_index_enabled:
-            tx.cell = cell
-            txs = self._active_by_cell.get(cell)
-            if txs is None:
-                txs = self._active_by_cell[cell] = []
-            tx.cell_index = len(txs)
-            txs.append(tx)
+        self._add_active(tx, cell)
         self.sim.after(
             duration + config.propagation_delay_s,
             self._finish_foreign,
@@ -1185,8 +1058,7 @@ class Medium:
     ) -> None:
         """Completion twin of :meth:`_finish` for injected frames: no
         ``end_tx`` (the sender lives elsewhere), receiver teardown via
-        the public ``end_rx`` (which routes the array mirror correctly),
-        same corruption/delivery accounting."""
+        the public ``end_rx``, same corruption/delivery accounting."""
         self._remove_active(tx)
         stats = self.stats
         rx_in_progress = self._rx_in_progress
@@ -1200,67 +1072,6 @@ class Medium:
             if rec.corrupted:
                 stats.frames_corrupted += 1
                 continue
-            if radio.base_mode is not idle or radio.transmitting:
-                stats.frames_corrupted += 1
-                continue
-            stats.frames_delivered += 1
-            sink = radio.frame_sink
-            if sink is not None:
-                sink(payload, sender_id)
-
-    def _finish_array(self, tx: _Transmission, payload: object) -> None:
-        """Array-backend twin of :meth:`_finish`.
-
-        Single pass in exact object order.  Each RX→IDLE settle is
-        dispatched per radio: a provably side-effect-free one defers
-        into the mirror row (``dirty``); one that *could* deplete, needs
-        a check booked, or has a row ahead of ``now`` routes through
-        ``monitor.set_draw`` — which reconciles and applies the object
-        kernel's arithmetic — at exactly its receiver-order position, so
-        any simulator events it allocates land in sequence.
-        """
-        arr = self._array
-        self._remove_active(tx)
-        tx.sender.end_tx()
-        stats = self.stats
-        rx_in_progress = self._rx_in_progress
-        sender_id = tx.sender.node_id
-        idle = RadioMode.IDLE
-        rx_mode = RadioMode.RX
-        now = self.sim.now
-        rem = arr.rem
-        draw = arr.draw
-        last_t = arr.last_t
-        dirty = arr.dirty
-        safe = arr.safe
-        eps = _DEPLETION_EPS
-        for rec in tx.receptions:
-            radio = rec.receiver
-            count = radio.rx_count
-            if count > 0:
-                radio.rx_count = count - 1
-                if count == 1 and radio._effective is rx_mode:
-                    radio._effective = idle
-                    i = radio._arr_idx
-                    last = last_t[i]
-                    new_rem = rem[i] - draw[i] * (now - last)
-                    if new_rem <= eps or not safe[i] or last > now:
-                        radio.monitor.set_draw(radio._p_idle)
-                    else:
-                        rem[i] = new_rem
-                        last_t[i] = now
-                        draw[i] = radio._p_idle
-                        dirty[i] = True
-                    cb = radio.on_mode_change
-                    if cb is not None:
-                        cb(rx_mode, idle)
-            ongoing = rx_in_progress.get(radio.node_id)
-            if ongoing and rec in ongoing:
-                ongoing.remove(rec)
-            if rec.corrupted:
-                stats.frames_corrupted += 1
-                continue
-            # Half-duplex / mid-frame sleep (see :meth:`_finish`).
             if radio.base_mode is not idle or radio.transmitting:
                 stats.frames_corrupted += 1
                 continue

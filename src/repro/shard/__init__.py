@@ -11,12 +11,11 @@ execution") for the model and its accuracy contract.
 """
 
 from repro.shard.region import Region, RegionBus, ShardMap
-from repro.shard.runner import run_sharded, shards_from_env
+from repro.shard.runner import run_sharded
 
 __all__ = [
     "Region",
     "RegionBus",
     "ShardMap",
     "run_sharded",
-    "shards_from_env",
 ]

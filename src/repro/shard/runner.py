@@ -28,7 +28,6 @@ this is bit-for-bit identical to :meth:`Network.run`.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import time
 from typing import Dict, List, Optional, Tuple
@@ -47,24 +46,6 @@ from repro.shard.region import Region, RegionReport, ShardMap
 #: dispatch).
 WINDOW_MIN_S = 0.1
 WINDOW_MAX_S = 0.5
-
-
-def shards_from_env() -> Optional[int]:
-    """Shard count requested via the environment, or None.
-
-    ``ECGRID_SHARDS=N`` (N >= 2) opts a process into sharded runs;
-    ``ECGRID_NO_SHARDS`` (any value but ``0``/empty) is the kill
-    switch and wins over everything.
-    """
-    kill = os.environ.get("ECGRID_NO_SHARDS", "")
-    if kill and kill != "0":
-        return None
-    raw = os.environ.get("ECGRID_SHARDS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return None
-    return n if n >= 2 else None
 
 
 def resolve_window(config: ExperimentConfig, window_s: Optional[float]) -> float:

@@ -118,8 +118,6 @@ def test_timer_mass_cancel_triggers_wheel_compaction():
     # swept out of the wheel once cancelled entries dominate — each
     # region owns a wheel, so leaked entries would multiply per shard.
     sim = Simulator(seed=1)
-    if not sim._wheel_enabled:
-        pytest.skip("wheel disabled via ECGRID_NO_TIMER_WHEEL")
     threshold = Simulator.WHEEL_COMPACT_THRESHOLD
     timers = [
         RestartableTimer(sim, lambda: None) for _ in range(threshold - 1)

@@ -11,8 +11,6 @@ cancellation / introspection behave identically on both paths.
 import math
 import random
 
-import pytest
-
 from repro.des.core import Simulator
 
 
@@ -159,8 +157,6 @@ def test_wheel_compaction_drops_cancelled_entries():
     """Cancel-heavy far-future timers are swept once they dominate the
     wheel instead of hoarding memory until their slot drains."""
     sim = Simulator(seed=1)
-    if not sim._wheel_enabled:
-        pytest.skip("wheel disabled via ECGRID_NO_TIMER_WHEEL")
     threshold = Simulator.WHEEL_COMPACT_THRESHOLD
     handles = [
         sim.at(1000.0 + (i % 97), _record, [], i, wheel=True)

@@ -55,6 +55,27 @@ def test_clean_import_emits_no_deprecation_warnings():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_and_run_leave_numpy_unloaded():
+    # the kernel is pure Python and declares no runtime dependency, so
+    # neither the facade import nor a simulation may pull numpy in
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro.api as api; "
+        "assert 'numpy' not in sys.modules, 'import loaded numpy'; "
+        f"api.run_experiment(api.ExperimentConfig(**{TINY!r})); "
+        "assert 'numpy' not in sys.modules, 'run loaded numpy'"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True,
+        cwd=str(SRC.parents[1]),
+        env={"PYTHONPATH": str(SRC.parent), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # ----------------------------------------------------------------------
 # Verbs
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The kernel profiler: attribution, totals, and loop equivalence."""
 
+from repro.des.core import Simulator
+from repro.des.timer import Timer
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_network, run_experiment
 from repro.perf.profile import KernelProfiler, callback_name
@@ -80,3 +82,29 @@ def test_callback_name_is_stable():
         def __call__(self):  # pragma: no cover
             pass
     assert callback_name(Cb()) == "Cb"
+
+
+class _SpanLikeProtocol:
+    """SPAN's two one-shot timer callbacks, which the category rules
+    tell apart: ``_announce_check`` is a hello-beacon, ``_window_open``
+    falls through to the protocol bucket."""
+
+    def _announce_check(self):
+        pass
+
+    def _window_open(self):
+        pass
+
+
+def test_one_shot_timers_are_bucketed_by_their_callback():
+    """Every one-shot timer dispatches as ``Timer._fire``; each must
+    still land in the bucket of the callback it wraps."""
+    sim = Simulator()
+    owner = _SpanLikeProtocol()
+    Timer(sim, owner._announce_check).start(1.0)
+    Timer(sim, owner._window_open).start(2.0)
+    profiler = KernelProfiler()
+    sim.instrument(profiler)
+    sim.run()
+    counts = {c: b.count for c, b in profiler.categories.items()}
+    assert counts == {"hello-beacon": 1, "protocol": 1}

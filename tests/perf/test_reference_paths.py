@@ -1,0 +1,48 @@
+"""The kernel's fast paths against the plain code they skip, under faults.
+
+The neighbor-snapshot cache, cell-indexed carrier sense and the timer
+wheel each skip work that a plainer path in the same kernel still does:
+a cold snapshot key runs the bucket scan, carrier sense below
+``TX_SCAN_CUTOFF`` runs the active-list scan, and an event outside the
+wheel goes straight to the heap.  Forcing every query onto those paths
+must leave a faulted run — crashes, partitions, page loss and drains,
+the churn where a cache could go stale — bit-for-bit unchanged.
+"""
+
+import math
+
+from repro.des.core import Simulator
+from repro.experiments.config import ExperimentConfig
+from repro.faults.plan import standard_fault_plan
+from repro.perf.trace import golden_run
+from repro.phy.medium import Medium
+
+CONFIG = ExperimentConfig(
+    protocol="ecgrid", n_hosts=24, width_m=500.0, height_m=500.0,
+    sim_time_s=60.0, n_flows=4, max_speed_mps=2.0,
+    initial_energy_j=40.0, seed=2,
+    faults=standard_fault_plan(
+        0.5, sim_time_s=60.0, width_m=500.0, height_m=500.0,
+        n_hosts=24, initial_energy_j=40.0,
+    ),
+)
+
+
+def test_plain_paths_reproduce_the_fast_paths_under_faults(monkeypatch):
+    # Probe the carrier-sense cell index at any load, not just above
+    # the cutoff this small scenario never reaches.
+    monkeypatch.setattr(Medium, "TX_SCAN_CUTOFF", 0)
+    fast = golden_run(CONFIG)[:2]
+
+    init = Simulator.__init__
+
+    def heap_only(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        # Every wheel booking lands before the drained horizon, so it
+        # takes the heap path.
+        self._drained_until = math.inf
+
+    monkeypatch.setattr(Simulator, "__init__", heap_only)
+    monkeypatch.setattr(Medium, "_near_snapshot", lambda *_: None)
+    monkeypatch.setattr(Medium, "TX_SCAN_CUTOFF", math.inf)
+    assert golden_run(CONFIG)[:2] == fast

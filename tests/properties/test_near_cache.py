@@ -3,11 +3,10 @@
 The cache is only allowed to be a *performance* structure: under any
 interleaving of mobility, register/unregister churn and sleep/wake
 flips, the cached answer must equal the plain bucket scan (the same
-code the ``ECGRID_NO_NEAR_CACHE`` kill switch runs), and the
-awake/sleeper partition inside hot snapshots must match the radios'
-live base modes (the partition is rebuilt via per-cell invalidation
-rather than read live, so a missing invalidation hook would surface
-here).
+code a cold snapshot key runs), and the awake/sleeper partition inside
+hot snapshots must match the radios' live base modes (the partition is
+rebuilt via per-cell invalidation rather than read live, so a missing
+invalidation hook would surface here).
 """
 
 import random
@@ -60,7 +59,7 @@ def assert_partition_consistent(medium, cell):
     snap = medium._near_snapshot(cell, medium.config.range_m)
     if snap is None:
         return
-    for _x0, _y0, _x1, _y1, all_radios, awake, sleepers, count, _ai, _si in snap:
+    for _x0, _y0, _x1, _y1, all_radios, awake, sleepers, count in snap:
         assert list(awake) == [
             r for r in all_radios if r.base_mode is RadioMode.IDLE
         ]
@@ -115,7 +114,9 @@ def test_radios_near_matches_scan_under_churn():
 def _run_script(cache_enabled):
     """One fixed transmission/churn script; returns observable outcomes."""
     sim, medium, radios = build_world(40, seed=13, moving=True)
-    medium._near_cache_enabled = cache_enabled
+    if not cache_enabled:
+        # Every key stays cold: transmit runs the plain receiver loop.
+        medium._near_snapshot = lambda cell, radius: None
     rng = random.Random(4242)
     inboxes = {r.node_id: [] for r in radios}
     for r in radios:
@@ -185,7 +186,7 @@ def test_channel_busy_probe_matches_full_scan():
             for tx in medium._active
         )
         assert medium.channel_busy(radio) == expect
-        # The plain-scan fallback (kill-switch path) agrees too.
-        medium._tx_index_enabled = False
+        # The plain-scan path below the cutoff agrees too.
+        medium.TX_SCAN_CUTOFF = len(medium._active) + 1
         assert medium.channel_busy(radio) == expect
-        medium._tx_index_enabled = True
+        medium.TX_SCAN_CUTOFF = 0

@@ -1,6 +1,6 @@
 """Unit coverage of the sharding machinery: partition geometry, bus
 semantics, ghost dormancy, release/adopt handoffs, boundary replay,
-uid namespacing, and the env-driven opt-in."""
+uid namespacing, and the run_experiment opt-in."""
 
 import pickle
 
@@ -15,11 +15,7 @@ from repro.shard.region import (
     ShardMap,
     UID_STRIDE,
 )
-from repro.shard.runner import (
-    resolve_window,
-    run_sharded,
-    shards_from_env,
-)
+from repro.shard.runner import resolve_window, run_sharded
 
 
 def small_config(**kw) -> ExperimentConfig:
@@ -244,34 +240,15 @@ class TestRunnerPolicy:
         with pytest.raises(ValueError):
             resolve_window(small_config(), -1.0)
 
-    def test_shards_from_env(self, monkeypatch):
-        monkeypatch.delenv("ECGRID_SHARDS", raising=False)
-        monkeypatch.delenv("ECGRID_NO_SHARDS", raising=False)
-        assert shards_from_env() is None
-        monkeypatch.setenv("ECGRID_SHARDS", "4")
-        assert shards_from_env() == 4
-        monkeypatch.setenv("ECGRID_SHARDS", "1")
-        assert shards_from_env() is None
-        monkeypatch.setenv("ECGRID_SHARDS", "junk")
-        assert shards_from_env() is None
-
-    def test_kill_switch_wins(self, monkeypatch):
-        monkeypatch.setenv("ECGRID_SHARDS", "4")
-        monkeypatch.setenv("ECGRID_NO_SHARDS", "1")
-        assert shards_from_env() is None
-        monkeypatch.setenv("ECGRID_NO_SHARDS", "0")
-        assert shards_from_env() == 4
-
-    def test_run_experiment_gates_off_exact_paths(self, monkeypatch):
-        """A tracer forces the single-kernel runner even when the env
-        opts into sharding (sharded runs have no exact dispatch)."""
+    def test_run_experiment_gates_off_exact_paths(self):
+        """A tracer forces the single-kernel runner even when the call
+        asks for shards (sharded runs have no exact dispatch)."""
         from repro.experiments.runner import run_experiment
         from repro.obs import Tracer
 
-        monkeypatch.setenv("ECGRID_SHARDS", "2")
         config = small_config(sim_time_s=5.0)
         tracer = Tracer()
-        result = run_experiment(config, tracer=tracer)
+        result = run_experiment(config, tracer=tracer, shards=2)
         # single-kernel runs never carry the foreign-frame stat
         assert "frames_foreign" not in result.medium
 
