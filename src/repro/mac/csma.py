@@ -219,8 +219,11 @@ class CsmaMac:
                 awake=self.radio.base_mode is RadioMode.IDLE,
                 dst=job.dst, bytes=job.wire_bytes,
             )
-        airtime = self.medium.transmit(self.radio, frame, job.wire_bytes)
-        if job.dst == BROADCAST:
+        broadcast = job.dst == BROADCAST
+        airtime = self.medium.transmit(
+            self.radio, frame, job.wire_bytes, None if broadcast else job.dst
+        )
+        if broadcast:
             self.stats.sent_broadcast += 1
             self.sim.after(airtime, self._broadcast_done, job)
         else:
@@ -294,7 +297,7 @@ class CsmaMac:
                 awake=self.radio.base_mode is RadioMode.IDLE,
                 dst=ack.dst, bytes=ack.wire_bytes,
             )
-        self.medium.transmit(self.radio, ack, ack.wire_bytes)
+        self.medium.transmit(self.radio, ack, ack.wire_bytes, ack.dst)
 
     def _on_ack(self, ack: AckFrame) -> None:
         job = self._current

@@ -42,20 +42,20 @@ class Sniffer:
         self._orig_transmit = medium.transmit
         medium.transmit = self._tap  # type: ignore[method-assign]
 
-    def _tap(self, sender, payload, wire_bytes):
+    def _tap(self, sender, payload, wire_bytes, dst=None):
         if isinstance(payload, AckFrame):
-            dst, kind = payload.dst, "ack"
+            to, kind = payload.dst, "ack"
         elif isinstance(payload, Frame):
-            dst = payload.dst
+            to = payload.dst
             kind = type(payload.message).__name__
         else:
-            dst, kind = -1, type(payload).__name__
+            to, kind = -1, type(payload).__name__
         self.frames.append(
             SniffedFrame(
-                self.medium.sim.now, sender.node_id, dst, kind, wire_bytes
+                self.medium.sim.now, sender.node_id, to, kind, wire_bytes
             )
         )
-        return self._orig_transmit(sender, payload, wire_bytes)
+        return self._orig_transmit(sender, payload, wire_bytes, dst)
 
     def detach(self) -> None:
         self.medium.transmit = self._orig_transmit  # type: ignore

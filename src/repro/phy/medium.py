@@ -111,16 +111,49 @@ class _ForeignSender:
 _FOREIGN_SENDER = _ForeignSender()
 
 
-#: One covering-bucket rectangle of a cached neighbor snapshot:
+#: A bucket's view for the receiver loops:
 #: ``(x0, y0, x1, y1, all_radios, awake, sleepers, len(sleepers))``.
-#: ``awake`` / ``sleepers`` partition the bucket by *base* mode at
-#: build time (OFF radios appear only in ``all_radios``); every base
-#: mode flip invalidates the covering snapshots (via the radio's
-#: ``on_base_mode_flip`` hook), so the partition is never stale.
-_SnapRect = Tuple[
+_Rect = Tuple[
     float, float, float, float,
     Tuple[Radio, ...], Tuple[Radio, ...], Tuple[Radio, ...], int,
 ]
+
+
+class _Bucket:
+    """One grid cell's radios, kept current in place.
+
+    ``radios`` maps node id -> radio in insertion order (set order would
+    depend on object addresses and break run-to-run determinism).
+    ``rect`` is the :data:`_Rect` the neighbor loops read: the cell's
+    bounds, its radios, and their partition by *base* mode (OFF radios
+    appear only in ``all_radios``).  :meth:`rebuild` replaces ``rect``
+    with a new tuple, never mutating one, so a receiver loop that
+    already holds the old one is undisturbed.
+    """
+
+    __slots__ = ("radios", "bounds", "rect")
+
+    def __init__(self, bounds: Tuple[float, float, float, float]) -> None:
+        self.radios: Dict[int, Radio] = {}
+        self.bounds = bounds
+        self.rect: _Rect = bounds + ((), (), (), 0)
+
+    def rebuild(self) -> None:
+        """Re-derive ``rect`` after a membership change or a base-mode
+        flip of one of this bucket's radios."""
+        radios = tuple(self.radios.values())
+        idle = RadioMode.IDLE
+        sleep = RadioMode.SLEEP
+        awake = tuple([r for r in radios if r.base_mode is idle])
+        sleepers = tuple([r for r in radios if r.base_mode is sleep])
+        self.rect = self.bounds + (radios, awake, sleepers, len(sleepers))
+
+    def without(self, node_id: int) -> "_Bucket":
+        """A detached copy of this bucket minus one radio."""
+        copy = _Bucket(self.bounds)
+        copy.radios = {k: r for k, r in self.radios.items() if k != node_id}
+        copy.rebuild()
+        return copy
 
 
 @dataclass
@@ -147,18 +180,17 @@ class Medium:
 
     Scaling structures (see ``docs/performance.md``, "Scaling"):
 
-    - an **epoch-invalidated neighbor cache**: ``radios_near`` and the
-      fused ``transmit`` loop snapshot the non-empty covering buckets
-      per ``(center cell, radius)`` and replay the snapshot while it is
-      valid.  Default-radius snapshots are invalidated per *center
-      cell* (a membership change in cell X bumps only the ~|ring|
-      centers whose coverage includes X); other radii fall back to a
-      global epoch.  Every membership change funnels through
-      ``register`` / ``unregister`` / ``update_cell``, and every base
-      mode flip through the radio's ``on_base_mode_flip`` hook (the
-      snapshots partition candidates into awake/sleepers), so
-      quasi-static regions answer repeat queries without re-walking
-      buckets;
+    - **per-cell buckets kept current in place**: every in-map cell
+      owns one :class:`_Bucket` for the medium's lifetime.
+      ``register`` / ``unregister`` / ``update_cell`` and the radios'
+      ``on_base_mode_flip`` hook rebuild only the bucket they touch, so
+      each bucket's awake/sleeper partition always matches its radios'
+      live base modes.  Each ``(center cell, radius)`` maps to the
+      tuple of its covering buckets, built on first use and never
+      invalidated (the buckets themselves stay current).
+      ``transmit``, ``inject_foreign`` and ``radios_near`` walk that
+      tuple, classify whole cells against the disk and per-point-test
+      only the straddlers;
     - a **cell-indexed active-transmission set** (``_active_by_cell``)
       so carrier sense probes only the sense-range cell neighborhood
       instead of every in-flight transmission.
@@ -190,44 +222,26 @@ class Medium:
         #: instead of regenerated per query.
         self._offsets: Dict[int, Tuple[GridCoord, ...]] = {}
         self._ring_offsets = self._pruned_offsets(self._ring, self.config.range_m)
-        # Buckets are dicts keyed by node id (insertion-ordered): set
-        # iteration order would depend on object addresses and break
-        # run-to-run determinism.
-        self._buckets: Dict[GridCoord, Dict[int, Radio]] = {}
-        self._cells: Dict[int, GridCoord] = {}
+        side = grid.cell_side
+        self._buckets: Dict[GridCoord, _Bucket] = {
+            (cx, cy): _Bucket(
+                (cx * side, cy * side, cx * side + side, cy * side + side)
+            )
+            for cx in range(grid.cols)
+            for cy in range(grid.rows)
+        }
+        #: Node id -> the bucket holding that radio.
+        self._bucket_of: Dict[int, _Bucket] = {}
+        #: ``(center cell, radius) -> covering buckets`` in row-major
+        #: order; see :meth:`_cover`.
+        self._covers: Dict[Tuple[GridCoord, float], Tuple[_Bucket, ...]] = {}
         self._active: List[_Transmission] = []
-        #: Membership epoch: bumped by register/unregister/update_cell.
-        #: Guards cached snapshots for *non-default* query radii (rare:
-        #: RAS paging), whose coverage can exceed the default ring.
-        self._epoch = 0
-        #: Per-center invalidation counters for default-radius
-        #: snapshots: a membership change in cell X bumps every center
-        #: whose default coverage includes X (the ring offsets are
-        #: symmetric under negation, so those centers are X + offset).
-        #: A global epoch would invalidate the whole map on every
-        #: crossing; this keeps snapshots in quiet regions alive.
-        self._inval: Dict[GridCoord, int] = {}
-        #: Per-bucket change counters and the rect built from each
-        #: bucket at a given count.  Snapshot rebuilds reuse the rect
-        #: of every bucket that did not change instead of re-partitioning
-        #: its radios.
-        self._rect_stamp: Dict[GridCoord, int] = {}
-        self._rect_cache: Dict[GridCoord, Tuple[int, _SnapRect]] = {}
-        #: ``(center cell, radius) -> (stamp, snapshot)`` where the
-        #: snapshot lists the non-empty covering buckets in query order
-        #: as :data:`_SnapRect` rectangles.  Stale entries are
-        #: overwritten on first reuse; size is bounded by occupied
-        #: cells x distinct query radii.
-        self._near_cache: Dict[
-            Tuple[GridCoord, float], Tuple[int, Optional[List[_SnapRect]]]
-        ] = {}
         #: Pruned covering offsets memoized per query radius (the
         #: default radius keeps its precomputed ``_ring_offsets``).
         self._radius_offsets: Dict[float, Tuple[GridCoord, ...]] = {}
         #: Cell -> in-flight transmissions that started there (swap-pop
         #: lists; empty lists are kept to avoid realloc churn).
         self._active_by_cell: Dict[GridCoord, List[_Transmission]] = {}
-        self._rx_in_progress: Dict[int, List[_Reception]] = {}
         self._loss_rng = sim.rng.stream("phy-loss")
         #: Optional fault-injection hook ``(tx_pos, receiver) -> bool``;
         #: True means the reception is lost (the receiver still pays RX
@@ -293,70 +307,44 @@ class Medium:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def _invalidate_around(self, cell: GridCoord) -> None:
-        """Bump the invalidation counter of every center cell whose
-        default-radius coverage includes ``cell`` (== ``cell`` plus each
-        ring offset, by symmetry of the offset set)."""
-        cx, cy = cell
-        inval = self._inval
-        for dx, dy in self._ring_offsets:
-            key = (cx + dx, cy + dy)
-            inval[key] = inval.get(key, 0) + 1
-        # Every caller passes exactly the bucket whose membership or
-        # partition changed, so this is the one site that retires its
-        # cached rect.
-        self._rect_stamp[cell] = self._rect_stamp.get(cell, 0) + 1
-
     def register(self, radio: Radio) -> None:
-        cell = self.grid.cell_of(radio.position())
-        self._buckets.setdefault(cell, {})[radio.node_id] = radio
-        self._cells[radio.node_id] = cell
-        # Snapshots partition candidates by base mode, so base-mode
-        # flips must invalidate exactly like membership changes do.
+        bucket = self._buckets[self.grid.cell_of(radio.position())]
+        bucket.radios[radio.node_id] = radio
+        bucket.rebuild()
+        self._bucket_of[radio.node_id] = bucket
+        # Buckets partition their radios by base mode, so base-mode
+        # flips must rebuild exactly like membership changes do.
         radio.on_base_mode_flip = self._on_base_mode_flip
-        self._epoch += 1
-        self._invalidate_around(cell)
 
     def unregister(self, radio: Radio) -> None:
         radio.on_base_mode_flip = None
-        cell = self._cells.pop(radio.node_id, None)
-        if cell is not None:
-            self._buckets.get(cell, {}).pop(radio.node_id, None)
-            self._epoch += 1
-            self._invalidate_around(cell)
+        bucket = self._bucket_of.pop(radio.node_id, None)
+        if bucket is not None:
+            bucket.radios.pop(radio.node_id, None)
+            bucket.rebuild()
 
     def _on_base_mode_flip(self, radio: Radio) -> None:
         """A registered radio's base mode changed (sleep / wake /
-        power_off / power_on): invalidate the default-radius snapshots
-        whose awake/sleeper partition covers its cell.  The global
-        epoch is *not* bumped — the flip changes no bucket's membership,
-        and non-default-radius replays only read the full radio tuple.
-        """
-        cell = self._cells.get(radio.node_id)
-        if cell is not None:
-            self._invalidate_around(cell)
+        power_off / power_on): re-partition its bucket."""
+        bucket = self._bucket_of.get(radio.node_id)
+        if bucket is not None:
+            bucket.rebuild()
 
     def update_cell(self, radio: Radio) -> None:
-        """Re-bucket a radio after its node crossed a cell boundary.
-
-        Cell-crossing events (scheduled from the mobility model's
-        ``next_cell_crossing``) funnel through here, so the epoch bump
-        and the reverse invalidation below are exactly "some bucket's
-        membership changed" — the invalidation signals for the neighbor
-        cache.
-        """
-        new_cell = self.grid.cell_of(radio.position())
-        old_cell = self._cells.get(radio.node_id)
-        if new_cell == old_cell:
+        """Re-bucket a radio after its node crossed a cell boundary
+        (cell-crossing events, scheduled from the mobility model's
+        ``next_cell_crossing``, funnel through here)."""
+        node_id = radio.node_id
+        new = self._buckets[self.grid.cell_of(radio.position())]
+        old = self._bucket_of.get(node_id)
+        if new is old:
             return
-        if old_cell is not None:
-            self._buckets.get(old_cell, {}).pop(radio.node_id, None)
-        self._buckets.setdefault(new_cell, {})[radio.node_id] = radio
-        self._cells[radio.node_id] = new_cell
-        self._epoch += 1
-        self._invalidate_around(new_cell)
-        if old_cell is not None:
-            self._invalidate_around(old_cell)
+        if old is not None:
+            old.radios.pop(node_id, None)
+            old.rebuild()
+        new.radios[node_id] = radio
+        new.rebuild()
+        self._bucket_of[node_id] = new
 
     # ------------------------------------------------------------------
     # Queries
@@ -365,104 +353,37 @@ class Medium:
         """Seconds the channel is occupied by a frame of ``wire_bytes``."""
         return wire_bytes * 8.0 / self.config.bandwidth_bps
 
-    def _near_snapshot(
-        self, cell: GridCoord, radius: float
-    ) -> Optional[List[_SnapRect]]:
-        """Cached candidate geometry for ``(cell, radius)``, or None.
-
-        The snapshot lists the non-empty covering buckets in query order
-        (row-major, identical to ``cells_within``) as :data:`_SnapRect`
-        rectangles, each carrying the bucket's radios plus their
-        awake/sleeper partition by base mode.  It depends only on
-        ``(cell, radius, membership + base-mode stamp)``; everything
-        that depends on the query *point* is replayed per query by the
-        caller.
-
-        Admission is adaptive: the first touch of a (key, epoch) only
-        plants a marker and returns None — the caller falls back to the
-        plain scan, which costs the same as building the snapshot would.
-        A second touch at the same epoch proves the key is hot and
-        builds.  Sparse query patterns (every key touched once per
-        epoch) therefore never pay the build, and hot patterns pay it
-        once.  Either way the caller computes identical results, so the
-        admission policy is unobservable.
-        """
-        # Default-radius snapshots validate against the per-cell
-        # counter (fine-grained: only nearby membership changes bump
-        # it); other radii — whose coverage may exceed the default
-        # ring — against the coarse global epoch.
-        if radius == self.config.range_m:
-            stamp = self._inval.get(cell, 0)
-        else:
-            stamp = self._epoch
+    def _cover(self, cell: GridCoord, radius: float) -> Tuple[_Bucket, ...]:
+        """The in-map buckets that can hold a radio within ``radius`` of
+        a point in ``cell``, row-major (the order ``cells_within``
+        yields).  Buckets live as long as the medium and are rebuilt in
+        place, so the tuple is built on first use and never goes
+        stale."""
         key = (cell, radius)
-        cache = self._near_cache
-        entry = cache.get(key)
-        if entry is not None and entry[0] == stamp:
-            snapshot = entry[1]
-            if snapshot is not None:
-                return snapshot
-            # Second touch at this stamp: build below.
-        else:
-            cache[key] = (stamp, None)
-            return None
-        if radius <= self.config.range_m:
-            offsets = self._ring_offsets
-        else:
-            offsets = self._offsets_near(radius)
-        cx, cy = cell
-        side = self.grid.cell_side
-        buckets = self._buckets
-        idle_mode = RadioMode.IDLE
-        sleep_mode = RadioMode.SLEEP
-        snapshot: List[_SnapRect] = []
-        rect_stamp = self._rect_stamp
-        rect_cache = self._rect_cache
-        for dx, dy in offsets:
-            # Off-map cells simply have no bucket; no clipping needed.
-            bcell = (cx + dx, cy + dy)
-            bucket = buckets.get(bcell)
-            if not bucket:
-                continue
-            # Rect bounds depend only on the cell, contents only on the
-            # bucket's membership + base modes — both covered by the
-            # per-bucket stamp, so an unchanged bucket's rect is reused
-            # as the *same object* (shared across overlapping centers).
-            bstamp = rect_stamp.get(bcell, 0)
-            cached_rect = rect_cache.get(bcell)
-            if cached_rect is not None and cached_rect[0] == bstamp:
-                snapshot.append(cached_rect[1])
-                continue
-            x0 = bcell[0] * side
-            y0 = bcell[1] * side
-            all_radios = tuple(bucket.values())
-            awake = []
-            sleepers = []
-            for radio in all_radios:
-                base = radio.base_mode
-                if base is idle_mode:
-                    awake.append(radio)
-                elif base is sleep_mode:
-                    sleepers.append(radio)
-                # OFF radios stay out of both partitions: neither the
-                # receiver loop nor the missed-asleep counter ever
-                # touches them (matching the plain scan's silent skip).
-            rect = (
-                x0, y0, x0 + side, y0 + side,
-                all_radios, tuple(awake), tuple(sleepers), len(sleepers),
+        cover = self._covers.get(key)
+        if cover is None:
+            if radius <= self.config.range_m:
+                offsets = self._ring_offsets
+            else:
+                offsets = self._offsets_near(radius)
+            cx, cy = cell
+            buckets = self._buckets
+            # Off-map cells have no bucket; no clipping needed.
+            cover = tuple(
+                buckets[c]
+                for c in [(cx + dx, cy + dy) for dx, dy in offsets]
+                if c in buckets
             )
-            rect_cache[bcell] = (bstamp, rect)
-            snapshot.append(rect)
-        cache[key] = (stamp, snapshot)
-        return snapshot
+            self._covers[key] = cover
+        return cover
 
-    def _replay_near(
-        self,
-        snapshot: List[_SnapRect],
-        pos: Vec2,
-        radius: float,
-    ) -> List[Radio]:
-        """Answer a neighbor query from a cached snapshot.
+    def radios_near(self, pos: Vec2, radius: float) -> List[Radio]:
+        """All registered radios within ``radius`` of ``pos``.
+
+        Candidate order (hence result order) is row-major over the
+        covering cells — identical to iterating ``cells_within`` — then
+        bucket insertion order, so downstream receiver bookkeeping stays
+        deterministic.
 
         Whole cells are classified against the disk first: a bucket
         whose rectangle lies entirely inside ``radius`` contributes all
@@ -480,10 +401,12 @@ class Medium:
         take2 = r2 * (1.0 - 1e-9)
         append = out.append
         now = self.sim.now
-        # Generic queries (RAS paging wakes *sleeping* radios) use the
-        # full bucket tuple; the awake/sleeper partition is only for
-        # the fused ``transmit`` receiver loop.
-        for x0, y0, x1, y1, radios, _awake, _sleepers, _count in snapshot:
+        # Generic queries (RAS paging wakes *sleeping* radios) read the
+        # full bucket; the awake/sleeper partition is for ``_receive``.
+        for bucket in self._cover(self.grid.cell_of(pos), radius):
+            if not bucket.radios:
+                continue
+            x0, y0, x1, y1, radios, _awake, _sleepers, _n = bucket.rect
             gx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
             gy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
             if gx * gx + gy * gy > skip2:
@@ -526,70 +449,6 @@ class Medium:
                     append(radio)
         return out
 
-    def _scan_near(
-        self, cell: GridCoord, pos: Vec2, radius: float
-    ) -> List[Radio]:
-        """Cacheless neighbor scan, the path of cold snapshot keys:
-        walk the covering buckets, classify each cell against the disk
-        (same guard bands as :meth:`_replay_near`), per-point-test the
-        straddlers."""
-        out: List[Radio] = []
-        cx, cy = cell
-        px, py = pos
-        r2 = radius * radius
-        skip2 = r2 * (1.0 + 1e-9)
-        take2 = r2 * (1.0 - 1e-9)
-        side = self.grid.cell_side
-        append = out.append
-        now = self.sim.now
-        if radius <= self.config.range_m:
-            offsets = self._ring_offsets
-        else:
-            offsets = self._offsets_near(radius)
-        buckets = self._buckets
-        for dx, dy in offsets:
-            # Off-map cells simply have no bucket; no clipping needed.
-            bucket = buckets.get((cx + dx, cy + dy))
-            if not bucket:
-                continue
-            x0 = (cx + dx) * side
-            y0 = (cy + dy) * side
-            x1 = x0 + side
-            y1 = y0 + side
-            gx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
-            gy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
-            if gx * gx + gy * gy > skip2:
-                continue
-            hx = px - x0 if px - x0 > x1 - px else x1 - px
-            hy = py - y0 if py - y0 > y1 - py else y1 - py
-            if hx * hx + hy * hy < take2:
-                out.extend(bucket.values())
-                continue
-            for radio in bucket.values():
-                mob = radio.mobility
-                p = mob.position(now) if mob is not None else radio.position()
-                ddx = p[0] - px
-                ddy = p[1] - py
-                if ddx * ddx + ddy * ddy <= r2:
-                    append(radio)
-        return out
-
-    def radios_near(self, pos: Vec2, radius: float) -> List[Radio]:
-        """All registered radios within ``radius`` of ``pos``.
-
-        Candidate order (hence result order) is row-major over the
-        covering cells — identical to iterating ``cells_within`` — so
-        downstream receiver bookkeeping stays deterministic.  Served
-        from the epoch-invalidated snapshot cache when the key is hot,
-        by the plain bucket scan otherwise; both paths compute the same
-        result.
-        """
-        cell = self.grid.cell_of(pos)
-        snapshot = self._near_snapshot(cell, radius)
-        if snapshot is not None:
-            return self._replay_near(snapshot, pos, radius)
-        return self._scan_near(cell, pos, radius)
-
     def channel_busy(self, radio: Radio) -> bool:
         """Carrier sense: is any in-flight transmission audible here?
 
@@ -607,7 +466,7 @@ class Medium:
             return False
         now = self.sim.now
         # Inlined ``MobilityModel.position`` fast paths (see
-        # ``_replay_near``) — carrier sense runs on every CSMA attempt.
+        # ``radios_near``) — carrier sense runs on every CSMA attempt.
         mob = radio.mobility
         if mob is not None:
             if now == mob._memo_t:
@@ -671,23 +530,21 @@ class Medium:
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def transmit(self, sender: Radio, payload: object, wire_bytes: int) -> float:
+    def transmit(
+        self,
+        sender: Radio,
+        payload: object,
+        wire_bytes: int,
+        dst: Optional[int] = None,
+    ) -> float:
         """Put a frame on the air.  Returns its airtime.
 
         Delivery (or corruption) resolves at airtime + propagation
-        delay via a single completion event.
-
-        The hot path fuses the cached neighbor replay directly into the
-        receiver loop — no intermediate candidate list — iterating the
-        snapshot's awake/sleeper partition: sleepers feed only the
-        (order-independent) missed-asleep counter, and awake candidates
-        need just the half-duplex check before the inlined
-        ``Radio.begin_rx`` (base IDLE is guaranteed by the partition,
-        so the mode-change condition reduces to ``_effective is not
-        RX``, exactly as ``begin_rx`` resolves it).  Receiver order,
-        per-radio arithmetic, RNG consumption and stats totals are
-        identical to the plain loop below, which remains the cold-key
-        path.
+        delay via a single completion event.  ``dst`` is the link-layer
+        addressee: every in-range receiver pays RX energy and counts in
+        ``frames_delivered``, but only the radio with that node id hands
+        the frame to its sink.  ``None`` hands it to every receiver's
+        sink (broadcast).
         """
         config = self.config
         stats = self.stats
@@ -701,170 +558,126 @@ class Medium:
         tap = self.boundary_tap
         if tap is not None:
             tap(now, pos, payload, wire_bytes, sender.node_id)
+        cell = self.grid.cell_of(pos)
+        # ``begin_tx`` above makes the half-duplex check skip the sender.
+        self._receive(tx, self._cover(cell, config.range_m))
+        self._add_active(tx, cell)
+        self.sim.after(
+            duration + config.propagation_delay_s,
+            self._finish,
+            tx,
+            payload,
+            dst,
+        )
+        return duration
 
+    def _receive(self, tx: _Transmission, cover: Tuple[_Bucket, ...]) -> None:
+        """Begin ``tx``'s receptions: the fused receiver loop.
+
+        Walks ``cover``'s awake/sleeper partitions: sleepers feed only
+        the (order-independent) missed-asleep counter, and awake
+        candidates need just the half-duplex check before the inlined
+        ``Radio.begin_rx`` (base IDLE is guaranteed by the partition,
+        so the mode-change condition reduces to ``_effective is not
+        RX``, exactly as ``begin_rx`` resolves it).  Receptions are
+        appended to ``tx.receptions`` in cover order, then bucket
+        insertion order.
+        """
+        config = self.config
+        stats = self.stats
         unit_disk = config.loss_model == "unit_disk"
         model_collisions = config.model_collisions
-        rx_in_progress = self._rx_in_progress
-        receptions = tx.receptions
-        idle = RadioMode.IDLE
-        rx_mode = RadioMode.RX
         fault_hook = self.fault_hook
-        cell = self.grid.cell_of(pos)
-        snapshot = self._near_snapshot(cell, config.range_m)
-        if snapshot is not None:
-            px, py = pos
-            r2 = config.range_m * config.range_m
-            skip2 = r2 * (1.0 + 1e-9)
-            take2 = r2 * (1.0 - 1e-9)
-            receptions_append = receptions.append
-            for x0, y0, x1, y1, _all, awake, sleepers, sleep_count in snapshot:
-                gx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
-                gy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
-                if gx * gx + gy * gy > skip2:
-                    continue
-                hx = px - x0 if px - x0 > x1 - px else x1 - px
-                hy = py - y0 if py - y0 > y1 - py else y1 - py
-                straddle = hx * hx + hy * hy >= take2
-                # Sleepers never receive; they only feed the
-                # missed-asleep counter, which is an order-independent
-                # sum — so the partition can count a take-all bucket in
-                # one add and per-point-test only the straddlers,
-                # instead of re-rejecting every sleeper per frame.
-                if not straddle:
-                    if sleep_count:
-                        stats.frames_missed_asleep += sleep_count
-                elif sleepers:
-                    for radio in sleepers:
-                        mob = radio.mobility
-                        if mob is not None:
-                            if now == mob._memo_t:
-                                p = mob._memo_pos
-                                x = p[0]
-                                y = p[1]
-                            else:
-                                seg = mob._active_seg
-                                if seg is not None and seg.t0 < now <= seg.t1:
-                                    dt = now - seg.t0
-                                    p0 = seg.p0
-                                    v = seg.v
-                                    x = p0.x + v.x * dt
-                                    y = p0.y + v.y * dt
-                                else:
-                                    p = mob.position(now)
-                                    x = p[0]
-                                    y = p[1]
-                        else:
-                            p = radio.position()
+        rx_mode = RadioMode.RX
+        now = self.sim.now
+        pos = tx.pos
+        px = tx.px
+        py = tx.py
+        r2 = config.range_m * config.range_m
+        skip2 = r2 * (1.0 + 1e-9)
+        take2 = r2 * (1.0 - 1e-9)
+        receptions_append = tx.receptions.append
+        for bucket in cover:
+            # About half the covering cells are empty at the paper's
+            # density; skip them before unpacking the rect.
+            if not bucket.radios:
+                continue
+            x0, y0, x1, y1, _all, awake, sleepers, sleep_count = bucket.rect
+            gx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
+            gy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
+            if gx * gx + gy * gy > skip2:
+                continue
+            hx = px - x0 if px - x0 > x1 - px else x1 - px
+            hy = py - y0 if py - y0 > y1 - py else y1 - py
+            straddle = hx * hx + hy * hy >= take2
+            # Sleepers never receive; they only feed the missed-asleep
+            # counter, which is an order-independent sum — so the
+            # partition can count a take-all bucket in one add and
+            # per-point-test only the straddlers, instead of
+            # re-rejecting every sleeper per frame.
+            if not straddle:
+                if sleep_count:
+                    stats.frames_missed_asleep += sleep_count
+            elif sleepers:
+                for radio in sleepers:
+                    # Inlined position fast paths (see radios_near).
+                    mob = radio.mobility
+                    if mob is not None:
+                        if now == mob._memo_t:
+                            p = mob._memo_pos
                             x = p[0]
                             y = p[1]
-                        ddx = x - px
-                        ddy = y - py
-                        if ddx * ddx + ddy * ddy <= r2:
-                            stats.frames_missed_asleep += 1
-                for radio in awake:
-                    if straddle:
-                        # Inlined position fast paths (see _replay_near).
-                        mob = radio.mobility
-                        if mob is not None:
-                            if now == mob._memo_t:
-                                p = mob._memo_pos
+                        else:
+                            seg = mob._active_seg
+                            if seg is not None and seg.t0 < now <= seg.t1:
+                                dt = now - seg.t0
+                                p0 = seg.p0
+                                v = seg.v
+                                x = p0.x + v.x * dt
+                                y = p0.y + v.y * dt
+                            else:
+                                p = mob.position(now)
                                 x = p[0]
                                 y = p[1]
-                            else:
-                                seg = mob._active_seg
-                                if seg is not None and seg.t0 < now <= seg.t1:
-                                    dt = now - seg.t0
-                                    p0 = seg.p0
-                                    v = seg.v
-                                    x = p0.x + v.x * dt
-                                    y = p0.y + v.y * dt
-                                else:
-                                    p = mob.position(now)
-                                    x = p[0]
-                                    y = p[1]
-                        else:
-                            p = radio.position()
-                            x = p[0]
-                            y = p[1]
-                        ddx = x - px
-                        ddy = y - py
-                        if ddx * ddx + ddy * ddy > r2:
-                            continue
-                    # ``awake`` guarantees base IDLE at snapshot build,
-                    # and every base-mode flip invalidates, so only the
-                    # half-duplex check survives; it also skips the
-                    # sender itself (``begin_tx`` ran above).
-                    if radio.transmitting:
-                        continue
-                    rec = _Reception(radio)
-                    if fault_hook is not None and fault_hook(pos, radio):
-                        rec.corrupted = True
-                        stats.frames_fault_dropped += 1
-                    if not unit_disk:
-                        p = config.reception_probability(
-                            pos.dist(radio.position())
-                        )
-                        if p < 1.0 and self._loss_rng.random() >= p:
-                            rec.corrupted = True
-                    nid = radio.node_id
-                    ongoing = rx_in_progress.get(nid)
-                    if ongoing is None:
-                        ongoing = rx_in_progress[nid] = []
-                    if ongoing and model_collisions:
-                        rec.corrupted = True
-                        for other in ongoing:
-                            other.corrupted = True
-                    ongoing.append(rec)
-                    # Inlined ``begin_rx`` (base is IDLE, not
-                    # transmitting — established above) with
-                    # ``BatteryMonitor.set_draw`` flattened in: one
-                    # radio mode flip per receiver per frame makes this
-                    # the hottest call chain of a run, and the
-                    # arithmetic is kept bit-identical.
-                    radio.rx_count += 1
-                    if radio._effective is not rx_mode:
-                        old = radio._effective
-                        radio._effective = rx_mode
-                        monitor = radio.monitor
-                        battery = monitor.battery
-                        watts = radio._p_rx
-                        if watts < 0:
-                            raise ValueError("draw cannot be negative")
-                        last = battery._last_t
-                        if now < last:
-                            raise ValueError(
-                                f"time went backwards: {now} < {last}"
-                            )
-                        if battery.infinite:
-                            battery._last_t = now
-                        else:
-                            battery._remaining -= (
-                                battery._draw_w * (now - last)
-                            )
-                            if battery._remaining <= 1e-12:
-                                battery._remaining = 0.0
-                                battery.depleted = True
-                            battery._last_t = now
-                        battery._draw_w = watts
-                        if battery.depleted:
-                            monitor._fire_depleted()
-                        elif not monitor._check_pending:
-                            monitor._book_check()
-                        cb = radio.on_mode_change
-                        if cb is not None:
-                            cb(old, rx_mode)
-                    receptions_append(rec)
-        else:
-            for radio in self._scan_near(cell, pos, config.range_m):
-                if radio is sender:
-                    continue
-                # Inlined ``can_receive`` / ``alive and not awake`` (the
-                # base mode is one of IDLE / SLEEP / OFF): property
-                # dispatch on every candidate of every frame is
-                # measurable.
-                if radio.base_mode is not idle or radio.transmitting:
-                    if radio.base_mode is RadioMode.SLEEP:
+                    else:
+                        p = radio.position()
+                        x = p[0]
+                        y = p[1]
+                    ddx = x - px
+                    ddy = y - py
+                    if ddx * ddx + ddy * ddy <= r2:
                         stats.frames_missed_asleep += 1
+            for radio in awake:
+                if straddle:
+                    mob = radio.mobility
+                    if mob is not None:
+                        if now == mob._memo_t:
+                            p = mob._memo_pos
+                            x = p[0]
+                            y = p[1]
+                        else:
+                            seg = mob._active_seg
+                            if seg is not None and seg.t0 < now <= seg.t1:
+                                dt = now - seg.t0
+                                p0 = seg.p0
+                                v = seg.v
+                                x = p0.x + v.x * dt
+                                y = p0.y + v.y * dt
+                            else:
+                                p = mob.position(now)
+                                x = p[0]
+                                y = p[1]
+                    else:
+                        p = radio.position()
+                        x = p[0]
+                        y = p[1]
+                    ddx = x - px
+                    ddy = y - py
+                    if ddx * ddx + ddy * ddy > r2:
+                        continue
+                # ``awake`` is rebuilt on every base-mode flip, so base
+                # IDLE holds and only the half-duplex check remains.
+                if radio.transmitting:
                     continue
                 rec = _Reception(radio)
                 if fault_hook is not None and fault_hook(pos, radio):
@@ -878,26 +691,48 @@ class Medium:
                         # Fringe loss: the radio still hears energy
                         # (pays RX) but the frame does not decode.
                         rec.corrupted = True
-                nid = radio.node_id
-                ongoing = rx_in_progress.get(nid)
-                if ongoing is None:
-                    ongoing = rx_in_progress[nid] = []
+                ongoing = radio.rx_recs
                 if ongoing and model_collisions:
                     rec.corrupted = True
                     for other in ongoing:
                         other.corrupted = True
                 ongoing.append(rec)
-                radio.begin_rx()
-                receptions.append(rec)
-
-        self._add_active(tx, cell)
-        self.sim.after(
-            duration + config.propagation_delay_s,
-            self._finish,
-            tx,
-            payload,
-        )
-        return duration
+                # Inlined ``begin_rx`` (base is IDLE, not transmitting —
+                # established above) with ``BatteryMonitor.set_draw``
+                # flattened in: one radio mode flip per receiver per
+                # frame makes this the hottest call chain of a run, and
+                # the arithmetic is kept bit-identical.
+                radio.rx_count += 1
+                if radio._effective is not rx_mode:
+                    old = radio._effective
+                    radio._effective = rx_mode
+                    monitor = radio.monitor
+                    battery = monitor.battery
+                    watts = radio._p_rx
+                    if watts < 0:
+                        raise ValueError("draw cannot be negative")
+                    last = battery._last_t
+                    if now < last:
+                        raise ValueError(
+                            f"time went backwards: {now} < {last}"
+                        )
+                    if battery.infinite:
+                        battery._last_t = now
+                    else:
+                        battery._remaining -= battery._draw_w * (now - last)
+                        if battery._remaining <= 1e-12:
+                            battery._remaining = 0.0
+                            battery.depleted = True
+                        battery._last_t = now
+                    battery._draw_w = watts
+                    if battery.depleted:
+                        monitor._fire_depleted()
+                    elif not monitor._check_pending:
+                        monitor._book_check()
+                    cb = radio.on_mode_change
+                    if cb is not None:
+                        cb(old, rx_mode)
+                receptions_append(rec)
 
     def _add_active(self, tx: _Transmission, cell: GridCoord) -> None:
         """Append to the in-flight list and the cell index."""
@@ -923,11 +758,12 @@ class Medium:
             txs[tx.cell_index] = tail
             tail.cell_index = tx.cell_index
 
-    def _finish(self, tx: _Transmission, payload: object) -> None:
+    def _finish(
+        self, tx: _Transmission, payload: object, dst: Optional[int]
+    ) -> None:
         self._remove_active(tx)
         tx.sender.end_tx()
         stats = self.stats
-        rx_in_progress = self._rx_in_progress
         sender_id = tx.sender.node_id
         idle = RadioMode.IDLE
         rx_mode = RadioMode.RX
@@ -937,7 +773,7 @@ class Medium:
             # Inlined ``end_rx`` (identical branch structure): dropping
             # the last reception of an RX-mode radio returns it to IDLE;
             # every other state is unchanged.  ``set_draw`` is flattened
-            # in as in ``transmit``.
+            # in as in ``_receive``.
             count = radio.rx_count
             if count > 0:
                 radio.rx_count = count - 1
@@ -969,9 +805,7 @@ class Medium:
                     cb = radio.on_mode_change
                     if cb is not None:
                         cb(rx_mode, idle)
-            ongoing = rx_in_progress.get(radio.node_id)
-            if ongoing and rec in ongoing:
-                ongoing.remove(rec)
+            radio.rx_recs.remove(rec)
             if rec.corrupted:
                 stats.frames_corrupted += 1
                 continue
@@ -982,9 +816,12 @@ class Medium:
                 stats.frames_corrupted += 1
                 continue
             stats.frames_delivered += 1
-            sink = radio.frame_sink
-            if sink is not None:
-                sink(payload, sender_id)
+            # Every receiver's MAC drops a frame addressed elsewhere
+            # without side effects, so only the addressee is called.
+            if dst is None or radio.node_id == dst:
+                sink = radio.frame_sink
+                if sink is not None:
+                    sink(payload, sender_id)
 
     # ------------------------------------------------------------------
     # Cross-region injection (sharded runs)
@@ -1000,49 +837,21 @@ class Medium:
         receivers exactly like :meth:`transmit`, with two differences:
         there is no local sender to charge or half-duplex (the owning
         region accounted the TX side when it transmitted the original),
-        and the sender's dormant local replica — same ``node_id`` — is
-        skipped as a receiver.  Cold-path only: boundary frames are rare
-        relative to local traffic, and the cacheless scan keeps this
-        code independent of the snapshot partition's sender assumptions.
+        and the sender's local replica — same ``node_id``, present when
+        the host migrated here since — neither receives nor counts as
+        asleep.  Every receiver's sink gets the frame.
         """
         config = self.config
-        stats = self.stats
         duration = self.airtime(wire_bytes)
-        now = self.sim.now
-        tx = _Transmission(_FOREIGN_SENDER, pos, now + duration)
-        stats.frames_foreign += 1
-        unit_disk = config.loss_model == "unit_disk"
-        model_collisions = config.model_collisions
-        rx_in_progress = self._rx_in_progress
-        fault_hook = self.fault_hook
-        idle = RadioMode.IDLE
+        tx = _Transmission(_FOREIGN_SENDER, pos, self.sim.now + duration)
+        self.stats.frames_foreign += 1
         cell = self.grid.cell_of(pos)
-        for radio in self._scan_near(cell, pos, config.range_m):
-            if radio.node_id == sender_id:
-                continue
-            if radio.base_mode is not idle or radio.transmitting:
-                if radio.base_mode is RadioMode.SLEEP:
-                    stats.frames_missed_asleep += 1
-                continue
-            rec = _Reception(radio)
-            if fault_hook is not None and fault_hook(pos, radio):
-                rec.corrupted = True
-                stats.frames_fault_dropped += 1
-            if not unit_disk:
-                p = config.reception_probability(pos.dist(radio.position()))
-                if p < 1.0 and self._loss_rng.random() >= p:
-                    rec.corrupted = True
-            nid = radio.node_id
-            ongoing = rx_in_progress.get(nid)
-            if ongoing is None:
-                ongoing = rx_in_progress[nid] = []
-            if ongoing and model_collisions:
-                rec.corrupted = True
-                for other in ongoing:
-                    other.corrupted = True
-            ongoing.append(rec)
-            radio.begin_rx()
-            tx.receptions.append(rec)
+        cover = self._cover(cell, config.range_m)
+        home = self._bucket_of.get(sender_id)
+        if home is not None:
+            stand_in = home.without(sender_id)
+            cover = tuple(stand_in if b is home else b for b in cover)
+        self._receive(tx, cover)
         self._add_active(tx, cell)
         self.sim.after(
             duration + config.propagation_delay_s,
@@ -1061,14 +870,11 @@ class Medium:
         the public ``end_rx``, same corruption/delivery accounting."""
         self._remove_active(tx)
         stats = self.stats
-        rx_in_progress = self._rx_in_progress
         idle = RadioMode.IDLE
         for rec in tx.receptions:
             radio = rec.receiver
             radio.end_rx()
-            ongoing = rx_in_progress.get(radio.node_id)
-            if ongoing and rec in ongoing:
-                ongoing.remove(rec)
+            radio.rx_recs.remove(rec)
             if rec.corrupted:
                 stats.frames_corrupted += 1
                 continue

@@ -16,7 +16,7 @@ through batteries, i.e. the phenomenon the paper is about.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.energy.accounting import BatteryMonitor
 from repro.energy.profile import PowerProfile, RadioMode
@@ -48,11 +48,15 @@ class Radio:
         self.base_mode = RadioMode.IDLE
         self.transmitting = False
         self.rx_count = 0
+        #: The medium's in-flight receptions at this radio (a second
+        #: overlapping frame corrupts them all when collisions are
+        #: modelled).  Owned by :class:`~repro.phy.medium.Medium`.
+        self.rx_recs: List[object] = []
         self.frame_sink: Optional[FrameSink] = None
         self.on_mode_change: Optional[Callable[[RadioMode, RadioMode], None]] = None
         #: Installed by the medium at registration: notifies it that
-        #: this radio's *base* mode (IDLE/SLEEP/OFF) flipped, so cached
-        #: awake/asleep candidate partitions can be invalidated.  The
+        #: this radio's *base* mode (IDLE/SLEEP/OFF) flipped, so the
+        #: awake/asleep partition of its cell's bucket is rebuilt.  The
         #: transient TX/RX activity never fires it.
         self.on_base_mode_flip: Optional[Callable[["Radio"], None]] = None
         self._effective = RadioMode.IDLE

@@ -126,14 +126,14 @@ def test_duplicate_retransmission_filtered():
     orig = medium.transmit
     state = {"dropped": False}
 
-    def flaky(sender, payload, wire_bytes):
+    def flaky(sender, payload, wire_bytes, dst=None):
         if isinstance(payload, AckFrame) and not state["dropped"]:
             state["dropped"] = True
             # Charge airtime but lose the frame: emulate corruption.
             sender.begin_tx()
             sim.after(medium.airtime(wire_bytes), sender.end_tx)
             return medium.airtime(wire_bytes)
-        return orig(sender, payload, wire_bytes)
+        return orig(sender, payload, wire_bytes, dst)
 
     medium.transmit = flaky
     a.send("once", 1, wire_bytes=64)

@@ -53,12 +53,25 @@ def test_sniffer_detach_stops_capture():
 
 
 def test_sniffer_is_transparent():
-    """Capturing must not change the simulation."""
+    """Capturing must not change the simulation, unicast included: the
+    tap forwards each frame's address to the medium."""
     def run(sniff):
         net = make_static_network([(50, 50), (150, 50), (250, 50)])
         if sniff:
             Sniffer(net.medium)
-        net.run(until=10.0)
-        return net.sim.events_executed
+        net.run(until=8.0)
+        p = DataPacket(src=0, dst=2, created_at=net.sim.now)
+        net.packet_log.on_sent(p)
+        net.nodes[0].send_data(p)
+        net.sim.run(until=10.0)
+        now = net.sim.now
+        return (
+            net.sim.events_executed,
+            net.packet_log.delivered_count,
+            net.medium.stats.frames_delivered,
+            [n.battery.consumed_at(now) for n in net.nodes],
+        )
 
-    assert run(False) == run(True)
+    plain = run(False)
+    assert plain[1] == 1  # the unicast exchange happened
+    assert run(True) == plain

@@ -1,12 +1,13 @@
 """The kernel's fast paths against the plain code they skip, under faults.
 
-The neighbor-snapshot cache, cell-indexed carrier sense and the timer
-wheel each skip work that a plainer path in the same kernel still does:
-a cold snapshot key runs the bucket scan, carrier sense below
+Cell-indexed carrier sense and the timer wheel each skip work that a
+plainer path in the same kernel still does: carrier sense below
 ``TX_SCAN_CUTOFF`` runs the active-list scan, and an event outside the
 wheel goes straight to the heap.  Forcing every query onto those paths
-must leave a faulted run — crashes, partitions, page loss and drains,
-the churn where a cache could go stale — bit-for-bit unchanged.
+must leave a faulted run — crashes, partitions, page loss and drains —
+bit-for-bit unchanged.  (The medium's per-cell buckets have no plainer
+twin; ``tests/properties/test_near_cache.py`` checks them against a
+brute-force scan instead.)
 """
 
 import math
@@ -43,6 +44,5 @@ def test_plain_paths_reproduce_the_fast_paths_under_faults(monkeypatch):
         self._drained_until = math.inf
 
     monkeypatch.setattr(Simulator, "__init__", heap_only)
-    monkeypatch.setattr(Medium, "_near_snapshot", lambda *_: None)
     monkeypatch.setattr(Medium, "TX_SCAN_CUTOFF", math.inf)
     assert golden_run(CONFIG)[:2] == fast

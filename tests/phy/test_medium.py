@@ -8,6 +8,7 @@ from repro.energy.battery import Battery
 from repro.energy.profile import PAPER_PROFILE, RadioMode
 from repro.geo.grid import GridMap
 from repro.geo.vector import Vec2
+from repro.mac.frames import AckFrame
 from repro.phy.medium import Medium, MediumConfig
 from repro.phy.radio import Radio
 
@@ -97,6 +98,35 @@ def test_overhearing_charges_rx_energy():
     rx_extra = airtime * (PAPER_PROFILE.rx_w - PAPER_PROFILE.idle_w)
     baseline = end * (PAPER_PROFILE.idle_w + PAPER_PROFILE.gps_w)
     assert consumed == pytest.approx(baseline + rx_extra, rel=1e-6)
+
+
+def test_address_picks_the_sink_not_who_pays():
+    """``dst`` selects whose sink gets the frame; every in-range
+    receiver still pays RX for the airtime and counts as delivered."""
+    sim, medium, (a, b, c) = build([(100, 100), (150, 100), (200, 100)])
+    inbox_a, inbox_b, inbox_c = (attach_inbox(r) for r in (a, b, c))
+    medium.transmit(a, "unicast", 1000, dst=b.node_id)
+    sim.run(until=1.0)
+    assert inbox_b == [("unicast", 0)]
+    assert inbox_c == []
+    assert medium.stats.frames_delivered == 2
+    rx_extra = medium.airtime(1000) * (PAPER_PROFILE.rx_w - PAPER_PROFILE.idle_w)
+    baseline = sim.now * (PAPER_PROFILE.idle_w + PAPER_PROFILE.gps_w)
+    for radio in (b, c):
+        consumed = radio.monitor.battery.consumed_at(sim.now)
+        assert consumed == pytest.approx(baseline + rx_extra, rel=1e-6)
+
+    medium.transmit(a, "broadcast", 100)
+    sim.run(until=2.0)
+    assert inbox_b[1:] == [("broadcast", 0)]
+    assert inbox_c == [("broadcast", 0)]
+
+    ack = AckFrame(b.node_id, a.node_id, 1)
+    medium.transmit(b, ack, ack.wire_bytes, dst=ack.dst)
+    sim.run(until=3.0)
+    assert inbox_a == [(ack, 1)]
+    assert inbox_c == [("broadcast", 0)]
+    assert medium.stats.frames_delivered == 6
 
 
 #: Hidden-terminal triple: a and b cannot hear each other (480 m apart)

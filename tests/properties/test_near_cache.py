@@ -1,14 +1,21 @@
-"""Properties of the medium's neighbor-snapshot cache.
+"""Properties of the medium's per-cell buckets.
 
-The cache is only allowed to be a *performance* structure: under any
-interleaving of mobility, register/unregister churn and sleep/wake
-flips, the cached answer must equal the plain bucket scan (the same
-code a cold snapshot key runs), and the awake/sleeper partition inside
-hot snapshots must match the radios' live base modes (the partition is
-rebuilt via per-cell invalidation rather than read live, so a missing
-invalidation hook would surface here).
+``register`` / ``unregister`` / ``update_cell`` and the radios'
+base-mode hook rebuild buckets in place, and the covering-bucket tuples
+that neighbor queries walk are never invalidated.  So under any
+interleaving of mobility, membership churn and sleep/wake flips, what
+the medium answers must equal an oracle that scans every registered
+radio and never looks at the bucket index:
+
+- ``radios_near``, element for element (row-major covering cells, then
+  bucket insertion order);
+- every bucket's awake and sleeper tuples, against the radios' live
+  base modes — a missing rebuild leaves them stale;
+- every ``transmit``'s receptions, in order: exactly the in-range,
+  IDLE, non-transmitting radios.
 """
 
+import itertools
 import random
 
 from repro.des.core import Simulator
@@ -53,51 +60,115 @@ def build_world(n, seed, moving=True):
     return sim, medium, radios
 
 
-def assert_partition_consistent(medium, cell):
-    """A hot snapshot's awake/sleeper split must equal the radios' live
-    base modes — i.e. every flip since the build must have invalidated."""
-    snap = medium._near_snapshot(cell, medium.config.range_m)
-    if snap is None:
-        return
-    for _x0, _y0, _x1, _y1, all_radios, awake, sleepers, count in snap:
+class Oracle:
+    """Brute-force model of the medium's membership: each registered
+    radio's cell and when it arrived there, with no bucket index."""
+
+    def __init__(self, medium, radios):
+        self.medium = medium
+        self.cell = {}
+        self.arrived = {}
+        self._clock = itertools.count()
+        for radio in radios:
+            self._arrive(radio)
+
+    def _arrive(self, radio):
+        self.cell[radio] = self.medium.grid.cell_of(radio.position())
+        self.arrived[radio] = next(self._clock)
+
+    def register(self, radio):
+        self.medium.register(radio)
+        self._arrive(radio)
+
+    def unregister(self, radio):
+        self.medium.unregister(radio)
+        del self.cell[radio]
+        del self.arrived[radio]
+
+    def update_cell(self, radio):
+        self.medium.update_cell(radio)
+        if self.medium.grid.cell_of(radio.position()) != self.cell[radio]:
+            self._arrive(radio)
+
+    def order(self, radio):
+        return self.cell[radio], self.arrived[radio]
+
+    def near(self, pos, radius):
+        px, py = pos
+        r2 = radius * radius
+        hits = []
+        for radio in self.cell:
+            x, y = radio.position()
+            dx = x - px
+            dy = y - py
+            if dx * dx + dy * dy <= r2:
+                hits.append(radio)
+        return sorted(hits, key=self.order)
+
+    def in_cell(self, cell):
+        return sorted(
+            (r for r, c in self.cell.items() if c == cell), key=self.order
+        )
+
+
+def assert_buckets_current(medium, oracle):
+    for cell, bucket in medium._buckets.items():
+        _x0, _y0, _x1, _y1, radios, awake, sleepers, count = bucket.rect
+        expect = oracle.in_cell(cell)
+        assert list(radios) == expect
         assert list(awake) == [
-            r for r in all_radios if r.base_mode is RadioMode.IDLE
+            r for r in expect if r.base_mode is RadioMode.IDLE
         ]
         assert list(sleepers) == [
-            r for r in all_radios if r.base_mode is RadioMode.SLEEP
+            r for r in expect if r.base_mode is RadioMode.SLEEP
         ]
         assert count == len(sleepers)
 
 
-def test_radios_near_matches_scan_under_churn():
-    """200 random steps of motion + membership churn + sleep/wake flips:
-    the (possibly cached) query equals the plain scan, element for
-    element, and hot partitions track base modes exactly."""
+def assert_transmit_matches(medium, oracle, sender):
+    missed = medium.stats.frames_missed_asleep
+    medium.transmit(sender, "frame", 128)
+    tx = medium._active[-1]
+    heard = oracle.near(sender.position(), medium.config.range_m)
+    assert [rec.receiver for rec in tx.receptions] == [
+        r for r in heard
+        if r.base_mode is RadioMode.IDLE and not r.transmitting
+    ]
+    assert medium.stats.frames_missed_asleep - missed == sum(
+        r.base_mode is RadioMode.SLEEP for r in heard
+    )
+
+
+def test_buckets_match_brute_force_scan_under_churn():
+    """200 random steps of motion + membership churn + sleep/wake flips
+    + transmissions: neighbor queries, bucket partitions and receiver
+    lists all equal the brute-force oracle after every step."""
     sim, medium, radios = build_world(30, seed=7)
+    oracle = Oracle(medium, radios)
     rng = random.Random(99)
     registered = set(range(len(radios)))
     parked = set()
     for step in range(200):
-        sim.now += rng.uniform(0.05, 2.0)
+        sim.run(until=sim.now + rng.uniform(0.05, 2.0))
         for i in sorted(registered):
-            medium.update_cell(radios[i])
+            oracle.update_cell(radios[i])
         # Sleep/wake churn (keeps OFF out: power_off is one-way).
         for i in sorted(registered):
             if rng.random() < 0.15:
-                (radios[i].wake if radios[i].awake else radios[i].sleep)()
+                (radios[i].sleep if radios[i].awake else radios[i].wake)()
         # Membership churn.
         if registered and rng.random() < 0.2:
             i = rng.choice(sorted(registered))
-            medium.unregister(radios[i])
+            oracle.unregister(radios[i])
             registered.discard(i)
             parked.add(i)
         if parked and rng.random() < 0.2:
             i = rng.choice(sorted(parked))
-            medium.register(radios[i])
+            oracle.register(radios[i])
             parked.discard(i)
             registered.add(i)
-        # Several queries per step, revisiting anchors so snapshot keys
-        # go hot and answers actually come from replays.
+        assert_buckets_current(medium, oracle)
+        # Several queries per step, at host positions and random points.
         for _ in range(3):
             if rng.random() < 0.7 and registered:
                 anchor = radios[rng.choice(sorted(registered))]
@@ -105,66 +176,12 @@ def test_radios_near_matches_scan_under_churn():
             else:
                 pos = Vec2(rng.uniform(0, AREA), rng.uniform(0, AREA))
             radius = rng.choice((250.0, 250.0, 250.0, 150.0, 400.0))
-            cached = medium.radios_near(pos, radius)
-            scanned = medium._scan_near(medium.grid.cell_of(pos), pos, radius)
-            assert cached == scanned
-            assert_partition_consistent(medium, medium.grid.cell_of(pos))
-
-
-def _run_script(cache_enabled):
-    """One fixed transmission/churn script; returns observable outcomes."""
-    sim, medium, radios = build_world(40, seed=13, moving=True)
-    if not cache_enabled:
-        # Every key stays cold: transmit runs the plain receiver loop.
-        medium._near_snapshot = lambda cell, radius: None
-    rng = random.Random(4242)
-    inboxes = {r.node_id: [] for r in radios}
-    for r in radios:
-        r.frame_sink = (
-            lambda payload, sender, log=inboxes[r.node_id]:
-            log.append((payload, sender))
-        )
-    registered = set(range(len(radios)))
-    parked = set()
-    for step in range(120):
-        sim.run(until=sim.now + rng.uniform(0.01, 0.5))
-        for i in sorted(registered):
-            medium.update_cell(radios[i])
-        for i in sorted(registered):
-            if rng.random() < 0.1:
-                (radios[i].wake if radios[i].awake else radios[i].sleep)()
-        if len(registered) > 5 and rng.random() < 0.1:
-            i = rng.choice(sorted(registered))
-            medium.unregister(radios[i])
-            registered.discard(i)
-            parked.add(i)
-        if parked and rng.random() < 0.1:
-            i = rng.choice(sorted(parked))
-            medium.register(radios[i])
-            parked.discard(i)
-            registered.add(i)
-        senders = [
-            i for i in sorted(registered)
-            if radios[i].awake and not radios[i].transmitting
-        ]
+            assert medium.radios_near(pos, radius) == oracle.near(pos, radius)
+        # Overlapping frames: later senders see earlier ones as
+        # transmitting (half-duplex) and skip them as receivers.
+        senders = [i for i in sorted(registered) if radios[i].awake]
         for i in rng.sample(senders, min(3, len(senders))):
-            medium.transmit(radios[i], f"pkt-{step}-{i}", 128)
-    sim.run(until=sim.now + 1.0)
-    energy = {
-        r.node_id: r.monitor.battery.consumed_at(sim.now) for r in radios
-    }
-    return vars(medium.stats).copy(), inboxes, energy
-
-
-def test_transmit_identical_with_and_without_cache():
-    """The fused snapshot receiver loop and the plain scan loop are the
-    same physics: stats, deliveries and per-radio energy must match
-    bit for bit across a churn-heavy script."""
-    stats_on, inboxes_on, energy_on = _run_script(cache_enabled=True)
-    stats_off, inboxes_off, energy_off = _run_script(cache_enabled=False)
-    assert stats_on == stats_off
-    assert inboxes_on == inboxes_off
-    assert energy_on == energy_off
+            assert_transmit_matches(medium, oracle, radios[i])
 
 
 def test_channel_busy_probe_matches_full_scan():
