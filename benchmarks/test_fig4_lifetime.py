@@ -7,17 +7,19 @@ lifetime, with GAF slightly ahead of ECGRID (HELLO overhead).
 
 import pytest
 
-from repro.experiments import figures
+from repro.api import figure
 
 from conftest import SCALE, SEED, run_once
 
 
 @pytest.mark.parametrize("speed", [1.0, 10.0], ids=["1mps", "10mps"])
 def test_fig4_alive_fraction(benchmark, speed):
-    runs = run_once(benchmark, figures.lifetime_runs, speed, SCALE, SEED)
-    fig = figures.fig4(speed, runs=runs)
+    fig = run_once(
+        benchmark, figure, "fig4", speed=speed, scale=SCALE, seed=SEED
+    )
     print()
     print(fig.to_text())
+    runs = {r.config.protocol: r for r in fig.results.values()}
 
     grid = runs["grid"]
     ecgrid = runs["ecgrid"]

@@ -6,17 +6,19 @@ about 33% above ECGRID's and 38% above GAF's, at both speeds.
 
 import pytest
 
-from repro.experiments import figures
+from repro.api import figure
 
 from conftest import SCALE, SEED, run_once
 
 
 @pytest.mark.parametrize("speed", [1.0, 10.0], ids=["1mps", "10mps"])
 def test_fig5_mean_energy(benchmark, speed):
-    runs = run_once(benchmark, figures.lifetime_runs, speed, SCALE, SEED)
-    fig = figures.fig5(speed, runs=runs)
+    fig = run_once(
+        benchmark, figure, "fig5", speed=speed, scale=SCALE, seed=SEED
+    )
     print()
     print(fig.to_text())
+    runs = {r.config.protocol: r for r in fig.results.values()}
 
     grid = runs["grid"]
     # Probe midway through GRID's lifetime (aen still < 1 everywhere).

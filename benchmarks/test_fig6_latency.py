@@ -13,7 +13,7 @@ asserted.
 
 import pytest
 
-from repro.experiments import figures
+from repro.api import figure
 
 from conftest import SCALE, SEED, run_once
 
@@ -22,10 +22,10 @@ PAUSES = [0.0, 40.0, 80.0, 120.0]
 
 @pytest.mark.parametrize("speed", [1.0, 10.0], ids=["1mps", "10mps"])
 def test_fig6_latency_vs_pause(benchmark, speed):
-    runs = run_once(
-        benchmark, figures.pause_sweep_runs, speed, SCALE, SEED, PAUSES
+    fig = run_once(
+        benchmark, figure, "fig6",
+        speed=speed, scale=SCALE, seed=SEED, pauses=PAUSES,
     )
-    fig = figures.fig6(speed, runs=runs)
     print()
     print(fig.to_text())
 

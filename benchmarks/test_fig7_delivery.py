@@ -7,7 +7,7 @@ always-active destinations) — ECGRID's sleeping does not lose packets.
 
 import pytest
 
-from repro.experiments import figures
+from repro.api import figure
 
 from conftest import SCALE, SEED, run_once
 
@@ -16,10 +16,10 @@ PAUSES = [0.0, 40.0, 80.0, 120.0]
 
 @pytest.mark.parametrize("speed", [1.0, 10.0], ids=["1mps", "10mps"])
 def test_fig7_delivery_vs_pause(benchmark, speed):
-    runs = run_once(
-        benchmark, figures.pause_sweep_runs, speed, SCALE, SEED, PAUSES
+    fig = run_once(
+        benchmark, figure, "fig7",
+        speed=speed, scale=SCALE, seed=SEED, pauses=PAUSES,
     )
-    fig = figures.fig7(speed, runs=runs)
     print()
     print(fig.to_text())
 

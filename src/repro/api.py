@@ -11,9 +11,8 @@ experiments is re-exported (or defined) here::
 Both the CLI (:mod:`repro.cli`) and the job server (:mod:`repro.serve`)
 consume *only* this module — which is the proof that it is sufficient.
 The deep paths (``repro.experiments.runner``, ``...sweep``, ``...cache``,
-``...figures``) keep working, but attribute imports from the
-``repro.experiments`` package root now raise a ``DeprecationWarning``
-pointing here; new code should not reach past this facade.
+``...figures``) keep working, but the ``repro.experiments`` package root
+exports nothing; new code should not reach past this facade.
 
 The four verbs:
 
@@ -62,8 +61,12 @@ from repro.experiments.export import (
     result_to_dict,
     result_to_json,
 )
-from repro.experiments.figures import FIGURES, FigureData
-from repro.experiments.figures import figure as _registry_figure
+from repro.experiments.figures import (
+    FIGURES,
+    NON_ADAPTIVE_FIGURES,
+    FigureData,
+    figure,
+)
 from repro.experiments.report import (
     format_series_table,
     format_summary_table,
@@ -129,6 +132,7 @@ __all__ = [
     "default_cache_dir",
     # figures
     "FIGURES",
+    "NON_ADAPTIVE_FIGURES",
     "FigureData",
     # election policies and partition scoring
     "ELECTION_POLICIES",
@@ -212,45 +216,6 @@ def sweep(
         return runner.run(spec)
     finally:
         runner.shutdown(wait=True)
-
-
-def figure(
-    name: str,
-    *,
-    speed: float = 1.0,
-    scale: float = 1.0,
-    seed: int = 1,
-    seeds: int = 1,
-    runner: Optional[SweepRunner] = None,
-    target_ci: Optional[float] = None,
-    max_seeds: Optional[int] = None,
-    min_seeds: int = 3,
-    batch: int = 2,
-    confidence: float = 0.95,
-    **axes: Any,
-) -> FigureData:
-    """Regenerate any registered figure (see :data:`FIGURES`).
-
-    ``target_ci`` (with the optional ``max_seeds`` / ``min_seeds`` /
-    ``batch`` / ``confidence`` schedule knobs) switches to adaptive
-    replication — seeds per arm are allocated until the headline-scalar
-    CIs meet the target or the cap; the precision report lands in
-    ``FigureData.precision``.  See :mod:`repro.experiments.adaptive`.
-    """
-    return _registry_figure(
-        name,
-        speed=speed,
-        scale=scale,
-        seed=seed,
-        seeds=seeds,
-        runner=runner,
-        target_ci=target_ci,
-        max_seeds=max_seeds,
-        min_seeds=min_seeds,
-        batch=batch,
-        confidence=confidence,
-        **axes,
-    )
 
 
 def load_result(

@@ -1,79 +1,6 @@
 """Experiment harness: configs, the sweep engine, and the paper's figures.
 
-.. deprecated::
-    The supported import surface of this layer is :mod:`repro.api`.
-    Submodules (``repro.experiments.sweep`` and friends) remain
-    importable — the facade itself is built on them — but attribute
-    imports from this package root (``from repro.experiments import
-    SweepRunner``) now resolve lazily and emit a ``DeprecationWarning``
-    pointing at the facade.  Nothing breaks; new code should use
-    ``repro.api``.
+The supported import surface of this layer is :mod:`repro.api`.  The
+package root exports nothing; its submodules (``repro.experiments.sweep``
+and friends) stay importable, and the facade itself is built on them.
 """
-
-from __future__ import annotations
-
-import importlib
-import warnings
-from typing import Any
-
-#: Every name this package root used to export eagerly, mapped to the
-#: submodule that actually defines it.  Access resolves lazily through
-#: :func:`__getattr__` with a deprecation pointer at ``repro.api``.
-_DEPRECATED_EXPORTS = {
-    "ExperimentConfig": "repro.experiments.config",
-    "PROTOCOLS": "repro.experiments.config",
-    "ExperimentResult": "repro.experiments.runner",
-    "build_network": "repro.experiments.runner",
-    "run_experiment": "repro.experiments.runner",
-    "ResultCache": "repro.experiments.cache",
-    "default_cache_dir": "repro.experiments.cache",
-    "SweepError": "repro.experiments.sweep",
-    "SweepOutcome": "repro.experiments.sweep",
-    "SweepPoint": "repro.experiments.sweep",
-    "SweepRun": "repro.experiments.sweep",
-    "SweepRunner": "repro.experiments.sweep",
-    "SweepSpec": "repro.experiments.sweep",
-    "FIGURES": "repro.experiments.figures",
-    "FigureData": "repro.experiments.figures",
-    "figure": "repro.experiments.figures",
-    "format_series_table": "repro.experiments.report",
-    "format_summary_table": "repro.experiments.report",
-    "figure_to_csv": "repro.experiments.export",
-    "figure_to_json": "repro.experiments.export",
-    "result_from_dict": "repro.experiments.export",
-    "result_from_json": "repro.experiments.export",
-    "result_to_dict": "repro.experiments.export",
-    "result_to_json": "repro.experiments.export",
-    "InvariantChecker": "repro.experiments.validate",
-    "InvariantReport": "repro.experiments.validate",
-}
-
-#: Renamed exports: public name here -> (submodule, attribute there).
-_DEPRECATED_RENAMES = {
-    "render_snapshot": ("repro.experiments.snapshot", "render"),
-}
-
-__all__ = sorted(set(_DEPRECATED_EXPORTS) | set(_DEPRECATED_RENAMES))
-
-
-def __getattr__(name: str) -> Any:
-    if name in _DEPRECATED_EXPORTS:
-        module, attr = _DEPRECATED_EXPORTS[name], name
-    elif name in _DEPRECATED_RENAMES:
-        module, attr = _DEPRECATED_RENAMES[name]
-    else:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name!r} from 'repro.experiments' is deprecated; "
-        f"import it from 'repro.api' instead (or, inside the library, "
-        f"from '{module}')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module), attr)
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(__all__))

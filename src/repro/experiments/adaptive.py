@@ -59,11 +59,16 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
 from repro.experiments.runner import ExperimentResult
+from repro.experiments.stats import (
+    ci_halfwidth,
+    sample_variance,
+    summarize_scalars,
+    t_quantile,
+)
 from repro.experiments.sweep import (
     SweepOutcome,
     SweepPoint,
@@ -406,8 +411,6 @@ class AdaptiveRunner:
     def _run_adaptive(
         self, spec: SweepSpec
     ) -> Tuple[SweepRun, PrecisionReport]:
-        from repro.experiments.stats import summarize_scalars, t_quantile
-
         policy = self.policy
         pool = self._seed_pool(spec)
         arm_names = [k for k in spec.axes if k != "seed"]
@@ -451,7 +454,7 @@ class AdaptiveRunner:
             still: List[_ArmState] = []
             for arm in active:
                 arm.looks += 1
-                self._evaluate(arm, summarize_scalars, t_quantile, quantile)
+                self._evaluate(arm, quantile)
                 if arm.met:
                     continue
                 if n >= policy.max_seeds:
@@ -468,7 +471,7 @@ class AdaptiveRunner:
                     "active": [a.key for a in still],
                 })
             active = still
-        report = self._report(spec, arms, looks_taken, summarize_scalars)
+        report = self._report(spec, arms, looks_taken)
         outcomes: List[SweepOutcome] = []
         for arm in arms:
             for outcome in arm.outcomes:
@@ -481,13 +484,7 @@ class AdaptiveRunner:
         )
         return run, report
 
-    def _evaluate(
-        self,
-        arm: _ArmState,
-        summarize_scalars: Callable[..., Dict[str, Tuple[float, float]]],
-        t_quantile: Callable[[float, int], float],
-        quantile: float,
-    ) -> None:
+    def _evaluate(self, arm: _ArmState, quantile: float) -> None:
         """One gate look: spending-corrected t half-widths on the
         gated scalars; ``met`` iff all are inside the target."""
         summary = summarize_scalars(arm.results)
@@ -513,16 +510,12 @@ class AdaptiveRunner:
         )
 
     def _report(
-        self,
-        spec: SweepSpec,
-        arms: List[_ArmState],
-        looks: int,
-        summarize_scalars: Callable[..., Dict[str, Tuple[float, float]]],
+        self, spec: SweepSpec, arms: List[_ArmState], looks: int
     ) -> PrecisionReport:
         return PrecisionReport(
             policy=self.policy,
             arms=[arm.report_entry() for arm in arms],
-            deltas=self._deltas(arms, summarize_scalars),
+            deltas=self._deltas(arms),
             looks=looks,
             total_runs=sum(len(a.seeds) for a in arms),
             executed=sum(
@@ -533,11 +526,7 @@ class AdaptiveRunner:
             ),
         )
 
-    def _deltas(
-        self,
-        arms: List[_ArmState],
-        summarize_scalars: Callable[..., Dict[str, Tuple[float, float]]],
-    ) -> List[Dict[str, Any]]:
+    def _deltas(self, arms: List[_ArmState]) -> List[Dict[str, Any]]:
         """CRN-paired protocol differences.
 
         Arms sharing every non-protocol coordinate pair up; their
@@ -547,8 +536,6 @@ class AdaptiveRunner:
         the paired one — how much variance the shared randomness
         removed.
         """
-        from repro.experiments.stats import ci_halfwidth, t_quantile
-
         if not arms or "protocol" not in arms[0].axes:
             return []
 
@@ -588,8 +575,8 @@ class AdaptiveRunner:
                     ]
                     mean_d = sum(diffs) / pairs
                     hw_d = ci_halfwidth(diffs, self.policy.confidence)
-                    var_a = _variance([v[name] for v in va])
-                    var_b = _variance([v[name] for v in vb])
+                    var_a = sample_variance([v[name] for v in va])
+                    var_b = sample_variance([v[name] for v in vb])
                     hw_ind = crit * math.sqrt((var_a + var_b) / pairs)
                     scalars[name] = {
                         "mean": mean_d,
@@ -604,14 +591,6 @@ class AdaptiveRunner:
                     "scalars": scalars,
                 })
         return deltas
-
-
-def _variance(values: Sequence[float]) -> float:
-    n = len(values)
-    if n < 2:
-        return 0.0
-    mean = sum(values) / n
-    return sum((v - mean) ** 2 for v in values) / (n - 1)
 
 
 def adaptive_sweep(

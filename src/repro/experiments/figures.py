@@ -15,14 +15,10 @@ and load, so the *shape* claims (who wins, by what factor, where the
 knees are) remain comparable.  With ``seeds=N`` every curve is the
 pointwise mean over N seeds and ``FigureData.bands`` carries the
 sample stddev (the per-seed raw curves stay in ``FigureData.raw``).
-
-The pre-registry per-figure functions (``fig4`` … ``ablation_*``)
-remain as deprecated wrappers.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -39,14 +35,8 @@ from repro.experiments.adaptive import AdaptiveRunner, ReplicationPolicy
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_series_table
 from repro.experiments.runner import ExperimentResult
-from repro.experiments.sweep import (
-    SweepPoint,
-    SweepRun,
-    SweepRunner,
-    SweepSpec,
-    mean_series,
-    stddev_series,
-)
+from repro.experiments.stats import ci_series, mean_series, stddev_series
+from repro.experiments.sweep import SweepPoint, SweepRun, SweepRunner, SweepSpec
 
 Series = List[Tuple[float, float]]
 
@@ -123,6 +113,24 @@ def _assemble(
         for label, x, y in extract(point, result):
             per_label.setdefault(label, {}).setdefault(seed, []).append((x, y))
         results[point.key()] = result
+    return _reduce_seeds(
+        figure_id, title, x_label, y_label, per_label, results, seeds
+    )
+
+
+def _reduce_seeds(
+    figure_id: str,
+    title: str,
+    x_label: str,
+    y_label: str,
+    per_label: Dict[str, Dict[int, Series]],
+    results: Dict[str, ExperimentResult],
+    seeds: Sequence[int],
+) -> FigureData:
+    """The one reduction every figure ends in: ``per_label[label][seed]``
+    holds one seed's (x, y) points of a curve; ``raw`` keeps the sorted
+    per-seed curves in ``seeds`` order (seeds without points skipped),
+    ``series`` their pointwise mean and ``bands`` their stddev."""
     series: Dict[str, Series] = {}
     bands: Dict[str, Series] = {}
     raw: Dict[str, List[Series]] = {}
@@ -159,20 +167,6 @@ def lifetime_spec(
     )
 
 
-def lifetime_runs(
-    speed: float = 1.0,
-    scale: float = 1.0,
-    seed: int = 1,
-    protocols: Sequence[str] = COMPARED,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[str, ExperimentResult]:
-    """The shared workload behind Figs. 4 and 5 (single seed)."""
-    run = _default_runner(runner).run(
-        lifetime_spec(speed, scale, [seed], protocols)
-    )
-    return {o.point.axes["protocol"]: o.result for o in run.outcomes}
-
-
 def pause_sweep_spec(
     speed: float,
     scale: float,
@@ -200,24 +194,6 @@ def pause_sweep_spec(
             "seed": list(seeds),
         },
     )
-
-
-def pause_sweep_runs(
-    speed: float,
-    scale: float,
-    seed: int,
-    pauses: Optional[Sequence[float]] = None,
-    protocols: Sequence[str] = COMPARED,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[Tuple[str, float], ExperimentResult]:
-    """Shared workload behind Figs. 6 and 7 (single seed)."""
-    run = _default_runner(runner).run(
-        pause_sweep_spec(speed, scale, [seed], pauses, protocols)
-    )
-    return {
-        (o.point.axes["protocol"], o.point.axes["pause_time_s"]): o.result
-        for o in run.outcomes
-    }
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +537,7 @@ def _gateway_tenure(
     intervals during which no gateway covered the cell.  Runs bypass
     the sweep engine and its result cache — cached
     :class:`~repro.experiments.runner.ExperimentResult` records do not
-    carry traces.
+    carry traces — so :func:`figure` refuses adaptive replication here.
     """
     from repro.experiments.runner import run_experiment
     from repro.obs import Tracer
@@ -595,25 +571,15 @@ def _gateway_tenure(
                 pts = percentiles(values, qs)
                 if pts:
                     per_label.setdefault(label, {})[seed] = pts
-    series: Dict[str, Series] = {}
-    bands: Dict[str, Series] = {}
-    raw: Dict[str, List[Series]] = {}
-    for label, by_seed in per_label.items():
-        replicates = [sorted(by_seed[s]) for s in seeds if s in by_seed]
-        raw[label] = replicates
-        series[label] = mean_series(replicates)
-        bands[label] = stddev_series(replicates)
-    return FigureData(
+    return _reduce_seeds(
         "gateway-tenure",
         f"Gateway tenure / no-gateway gap distributions "
         f"(speed {speed} m/s)",
         "percentile",
         "seconds",
-        series,
+        per_label,
         results,
-        bands,
-        raw,
-        list(seeds),
+        seeds,
     )
 
 
@@ -700,26 +666,16 @@ def _election_faceoff(
                 per_label.setdefault(
                     f"{policy}:{metric}", {}
                 ).setdefault(seed, []).append((float(x), value))
-    series: Dict[str, Series] = {}
-    bands: Dict[str, Series] = {}
-    raw: Dict[str, List[Series]] = {}
-    for label, by_seed in per_label.items():
-        replicates = [sorted(by_seed[s]) for s in seeds if s in by_seed]
-        raw[label] = replicates
-        series[label] = mean_series(replicates)
-        bands[label] = stddev_series(replicates)
     names = ", ".join(name for name, _ in scenarios)
-    return FigureData(
+    return _reduce_seeds(
         "election-faceoff",
         f"Election-policy partition quality across scenarios "
         f"(speed {speed} m/s)",
         f"scenario index ({names})",
         "score",
-        series,
+        per_label,
         results,
-        bands,
-        raw,
-        list(seeds),
+        seeds,
     )
 
 
@@ -739,6 +695,11 @@ FIGURES: Dict[str, Callable[..., FigureData]] = {
     "gateway-tenure": _gateway_tenure,
     "election-faceoff": _election_faceoff,
 }
+
+#: Figures whose runs bypass the sweep engine (each is traced, and
+#: cached results carry no traces), so no scheduler can allocate their
+#: seeds: :func:`figure` refuses adaptive replication for them.
+NON_ADAPTIVE_FIGURES = frozenset({"gateway-tenure"})
 
 
 def figure(
@@ -773,9 +734,11 @@ def figure(
     ``FigureData.precision`` and the seeds actually used in
     ``FigureData.seeds``.  Passing a pre-built
     :class:`~repro.experiments.adaptive.AdaptiveRunner` as ``runner``
-    (the serve path does) uses its policy directly.  The trace-derived
-    ``gateway-tenure`` panel bypasses the sweep engine and therefore
-    ignores adaptive mode.
+    (the serve path does) uses its policy directly.  The figures in
+    :data:`NON_ADAPTIVE_FIGURES` (the trace-derived ``gateway-tenure``
+    panel) run outside the sweep engine and have no adaptive mode: with
+    ``target_ci`` or an ``AdaptiveRunner`` they raise
+    :class:`ValueError` before simulating anything.
     """
     key = name.replace("_", "-")
     if key not in FIGURES:
@@ -784,6 +747,13 @@ def figure(
         )
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    if key in NON_ADAPTIVE_FIGURES and (
+        target_ci is not None or isinstance(runner, AdaptiveRunner)
+    ):
+        raise ValueError(
+            f"{key} runs outside the sweep engine and has no adaptive "
+            f"replication; use seeds=N instead of target_ci"
+        )
     engine: Optional[AdaptiveRunner] = None
     if isinstance(runner, AdaptiveRunner):
         engine = runner
@@ -820,170 +790,8 @@ def figure(
         )
         if len(seed_list) > 1:
             fig.title += f"  (mean of {len(seed_list)} seeds)"
-    from repro.experiments.stats import ci_series
-
     fig.ci = {
         label: ci_series(replicates, confidence)
         for label, replicates in fig.raw.items()
     }
     return fig
-
-
-# ----------------------------------------------------------------------
-# Deprecated per-figure wrappers (pre-registry API)
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.experiments.figures.{old}() is deprecated; "
-        f"use figure({new!r}, ...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def fig4(
-    speed: float = 1.0,
-    scale: float = 1.0,
-    seed: int = 1,
-    runs: Optional[Dict[str, ExperimentResult]] = None,
-) -> FigureData:
-    _deprecated("fig4", "fig4")
-    if runs is not None:
-        return FigureData(
-            "fig4",
-            f"Fraction of alive hosts vs time (speed {speed} m/s)",
-            "t(s)",
-            "alive fraction",
-            {p: list(r.alive_fraction) for p, r in runs.items()},
-            runs,
-        )
-    return figure("fig4", speed=speed, scale=scale, seed=seed)
-
-
-def fig5(
-    speed: float = 1.0,
-    scale: float = 1.0,
-    seed: int = 1,
-    runs: Optional[Dict[str, ExperimentResult]] = None,
-) -> FigureData:
-    _deprecated("fig5", "fig5")
-    if runs is not None:
-        return FigureData(
-            "fig5",
-            f"Mean energy consumption per host (aen) vs time (speed {speed} m/s)",
-            "t(s)",
-            "aen",
-            {p: list(r.aen) for p, r in runs.items()},
-            runs,
-        )
-    return figure("fig5", speed=speed, scale=scale, seed=seed)
-
-
-def _pause_scatter(
-    runs: Dict[Tuple[str, float], ExperimentResult],
-    readout: Callable[[ExperimentResult], float],
-) -> Dict[str, Series]:
-    series: Dict[str, Series] = {}
-    for (proto, pause), r in runs.items():
-        series.setdefault(proto, []).append((pause, readout(r)))
-    for s in series.values():
-        s.sort()
-    return series
-
-
-def fig6(
-    speed: float = 1.0,
-    scale: float = 1.0,
-    seed: int = 1,
-    runs: Optional[Dict[Tuple[str, float], ExperimentResult]] = None,
-) -> FigureData:
-    _deprecated("fig6", "fig6")
-    if runs is not None:
-        return FigureData(
-            "fig6",
-            f"Packet delivery latency vs pause time (speed {speed} m/s)",
-            "pause(s)",
-            "latency (ms)",
-            _pause_scatter(runs, lambda r: r.mean_latency_s * 1000.0),
-            {f"{p}@{t:.0f}": r for (p, t), r in runs.items()},
-        )
-    return figure("fig6", speed=speed, scale=scale, seed=seed)
-
-
-def fig7(
-    speed: float = 1.0,
-    scale: float = 1.0,
-    seed: int = 1,
-    runs: Optional[Dict[Tuple[str, float], ExperimentResult]] = None,
-) -> FigureData:
-    _deprecated("fig7", "fig7")
-    if runs is not None:
-        return FigureData(
-            "fig7",
-            f"Packet delivery rate vs pause time (speed {speed} m/s)",
-            "pause(s)",
-            "delivery (%)",
-            _pause_scatter(runs, lambda r: r.delivery_rate * 100.0),
-            {f"{p}@{t:.0f}": r for (p, t), r in runs.items()},
-        )
-    return figure("fig7", speed=speed, scale=scale, seed=seed)
-
-
-def fig8(
-    speed: float = 1.0,
-    scale: float = 1.0,
-    seed: int = 1,
-    densities: Sequence[int] = (50, 100, 150, 200),
-    protocols: Sequence[str] = ("grid", "ecgrid"),
-) -> FigureData:
-    _deprecated("fig8", "fig8")
-    return figure(
-        "fig8", speed=speed, scale=scale, seed=seed,
-        densities=densities, protocols=protocols,
-    )
-
-
-def ablation_hello(
-    periods: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
-    speed: float = 1.0,
-    scale: float = 1.0,
-    seed: int = 1,
-) -> FigureData:
-    _deprecated("ablation_hello", "ablation-hello")
-    return figure(
-        "ablation-hello", speed=speed, scale=scale, seed=seed, periods=periods
-    )
-
-
-def ablation_loadbalance(
-    speed: float = 1.0,
-    scale: float = 1.0,
-    seed: int = 1,
-) -> FigureData:
-    _deprecated("ablation_loadbalance", "ablation-loadbalance")
-    return figure("ablation-loadbalance", speed=speed, scale=scale, seed=seed)
-
-
-def ablation_search_policy(
-    policies: Sequence[str] = ("bbox", "bbox_margin", "global"),
-    speed: float = 1.0,
-    scale: float = 1.0,
-    seed: int = 1,
-) -> FigureData:
-    _deprecated("ablation_search_policy", "ablation-search")
-    return figure(
-        "ablation-search", speed=speed, scale=scale, seed=seed,
-        policies=policies,
-    )
-
-
-def ablation_gridsize(
-    sides: Sequence[float] = (50.0, 80.0, 100.0, 117.0),
-    speed: float = 1.0,
-    scale: float = 1.0,
-    seed: int = 1,
-) -> FigureData:
-    _deprecated("ablation_gridsize", "ablation-gridsize")
-    return figure(
-        "ablation-gridsize", speed=speed, scale=scale, seed=seed, sides=sides
-    )

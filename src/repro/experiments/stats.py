@@ -1,70 +1,100 @@
-"""Replication across seeds: averaging series and summarizing scalars.
+"""Seed statistics: curve reducers, scalar summaries and t intervals.
 
 One seed is one sample of the mobility/traffic/MAC randomness; the
 paper's curves are (implicitly) single ns-2 runs, but a credible
-reproduction should show the spread.  These helpers run the same
-config under several seeds and reduce the results.
+reproduction should show the spread.  Seeds are replicated by the
+sweep engine — a ``seed`` axis in a
+:class:`~repro.experiments.sweep.SweepSpec`, which is what
+``figure(name, seeds=N)`` builds and what the adaptive engine
+(:mod:`repro.experiments.adaptive`) allocates — and this module reduces
+what those runs return:
 
-Replicate execution routes through the sweep engine
-(:class:`~repro.experiments.sweep.SweepRunner`), so passing a
-configured runner gives replicates the process pool and the
-config-hash result cache for free; the default remains inline serial
-execution with identical results.
+- :func:`resample_union`, :func:`mean_series` and :func:`stddev_series`
+  turn per-seed curves into a figure's mean curves and stddev bands;
+- :func:`summarize_scalars` is the (mean, sample stddev) of every
+  headline scalar, the readout the adaptive gate watches;
+- :func:`t_quantile`, :func:`ci_halfwidth` and :func:`ci_series` are
+  dependency-free small-sample Student-t confidence intervals.
 
-The Student-t helpers at the bottom (:func:`t_quantile`,
-:func:`ci_halfwidth`, :func:`ci_series`) are the statistical floor of
-the adaptive replication engine (:mod:`repro.experiments.adaptive`):
-dependency-free small-sample confidence intervals on the headline
-scalars and pointwise bands on curves.
+The module imports nothing else from the experiment layer at run time,
+so the figures and the adaptive engine both import it at module top.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from statistics import NormalDist
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import FigureData
-from repro.experiments.runner import ExperimentResult
-from repro.experiments.sweep import SweepRunner, SweepSpec, resample_union
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.runner import ExperimentResult
 
 Series = List[Tuple[float, float]]
 
 
-def run_replicates(
-    config: ExperimentConfig,
-    seeds: Sequence[int],
-    runner: Optional[SweepRunner] = None,
-) -> List[ExperimentResult]:
-    """The same scenario under each seed, through the sweep engine.
+def sample_variance(values: Sequence[float]) -> float:
+    """Unbiased sample variance (``n - 1`` denominator); zero for fewer
+    than two values."""
+    n = len(values)
+    if n < 2:
+        return 0.0
+    mean = sum(values) / n
+    return sum((v - mean) ** 2 for v in values) / (n - 1)
 
-    Each replicate is one grid point of a ``{"seed": seeds}`` sweep, so
-    a ``runner`` configured with workers and/or a
-    :class:`~repro.experiments.cache.ResultCache` parallelizes and
-    caches replicates exactly like any other sweep (re-running the same
-    seeds is then free).  Without a runner the points execute inline
-    and uncached, as before.  Results come back in ``seeds`` order.
+
+# ----------------------------------------------------------------------
+# Curves (per-seed series -> mean +- stddev on the union x-grid)
+# ----------------------------------------------------------------------
+def resample_union(
+    series_list: Sequence[Series],
+) -> Optional[Tuple[List[float], List[List[Optional[float]]]]]:
+    """Step-resample every replicate onto the union of their x-grids.
+
+    Replicates of event-driven series (death times, per-seed sampling
+    phases) rarely share exact x values, so intersecting the grids
+    would collapse the averaged curve to the few shared points, or to
+    nothing at all.  Instead each series is evaluated at every union x
+    by carrying its most recent sample forward.
+
+    Carry-forward is only defined *after* a series' first sample.
+    Before its first x a series has no value — its column holds ``None``
+    there, and the reducers skip it.  Back-filling the first sample's
+    value over the leading edge would bias means and deflate spreads
+    wherever replicates start at different times.  Every union x is
+    covered by at least one series (it came from one), so reducers never
+    see an all-``None`` column slice.  When all replicates already share
+    one grid this is exact (no interpolation happens and the original
+    values pass through).
+
+    Returns ``(grid, columns)`` with ``columns[i]`` the values of
+    ``series_list[i]`` on ``grid`` (``None`` before its first sample),
+    or ``None`` when there is nothing to resample (no series, or an
+    empty series among them).
     """
-    spec = SweepSpec(
-        name="replicates", base=config, axes={"seed": list(seeds)}
-    )
-    if runner is not None:
-        return runner.run(spec).results
-    owned = SweepRunner()
-    try:
-        return owned.run(spec).results
-    finally:
-        owned.shutdown(wait=True)
+    if not series_list or any(not s for s in series_list):
+        return None
+    grid = sorted({x for s in series_list for x, _ in s})
+    columns: List[List[Optional[float]]] = []
+    for s in series_list:
+        pts = sorted(s)
+        vals: List[Optional[float]] = []
+        i = 0
+        cur: Optional[float] = None
+        for x in grid:
+            while i < len(pts) and pts[i][0] <= x:
+                cur = pts[i][1]
+                i += 1
+            vals.append(cur)
+        columns.append(vals)
+    return grid, columns
 
 
 def mean_series(series_list: Sequence[Series]) -> Series:
     """Pointwise mean of the replicates on the union of their x-grids.
 
-    Seeds sample at different event times, so the former shared-grid
-    intersection often left these curves empty; see
-    :func:`repro.experiments.sweep.resample_union`.
+    At each union x the mean runs over the replicates that have started
+    by then (see :func:`resample_union`); a late-starting replicate does
+    not contribute fabricated values to the leading edge.
     """
     resampled = resample_union(series_list)
     if resampled is None:
@@ -77,13 +107,9 @@ def mean_series(series_list: Sequence[Series]) -> Series:
     return out
 
 
-def stderr_series(series_list: Sequence[Series]) -> Series:
-    """Pointwise standard error on the union x-grid, over the
-    replicates defined at each x (0 where fewer than two have
-    started — carry-forward does not extend before a series' first
-    sample; see :func:`repro.experiments.sweep.resample_union`)."""
-    if len(series_list) < 2:
-        return [(x, 0.0) for x, _ in (series_list[0] if series_list else [])]
+def stddev_series(series_list: Sequence[Series]) -> Series:
+    """Pointwise sample stddev on the union x-grid, over the replicates
+    defined at each x (0 where fewer than two have started)."""
     resampled = resample_union(series_list)
     if resampled is None:
         return []
@@ -91,74 +117,13 @@ def stderr_series(series_list: Sequence[Series]) -> Series:
     out: Series = []
     for i, x in enumerate(grid):
         vals = [c[i] for c in cols if c[i] is not None]
-        n = len(vals)
-        if n < 2:
-            out.append((x, 0.0))
-            continue
-        mean = sum(vals) / n
-        var = sum((v - mean) ** 2 for v in vals) / (n - 1)
-        out.append((x, math.sqrt(var / n)))
+        out.append((x, math.sqrt(sample_variance(vals))))
     return out
 
 
-def average_figures(figs: Sequence[FigureData]) -> FigureData:
-    """Merge per-seed figures into one with mean curves.
-
-    All inputs must share figure id and series labels.
-    """
-    if not figs:
-        raise ValueError("need at least one figure")
-    first = figs[0]
-    labels = set(first.series)
-    for f in figs[1:]:
-        if f.figure_id != first.figure_id or set(f.series) != labels:
-            raise ValueError("figures are not replicates of each other")
-    series = {
-        label: mean_series([f.series[label] for f in figs])
-        for label in first.series
-    }
-    return FigureData(
-        first.figure_id,
-        f"{first.title}  (mean of {len(figs)} seeds)",
-        first.x_label,
-        first.y_label,
-        series,
-    )
-
-
-def _accepts_runner(fn: Callable[..., FigureData]) -> bool:
-    """Whether ``fn`` can take a ``runner=`` keyword (every registry
-    figure can; the deprecated pre-registry wrappers cannot)."""
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-    return "runner" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-
-
-def replicate_figure(
-    figure_fn: Callable[..., FigureData],
-    seeds: Sequence[int],
-    *args,
-    runner: Optional[SweepRunner] = None,
-    **kwargs,
-) -> FigureData:
-    """Run ``figure_fn(..., seed=s)`` per seed and average the curves.
-
-    With ``runner`` given (and ``figure_fn`` accepting a ``runner``
-    keyword, as :func:`repro.experiments.figures.figure` and every
-    registry implementation do), all per-seed sweeps share that
-    runner's process pool and result cache instead of simulating
-    serially and uncached.
-    """
-    if runner is not None and _accepts_runner(figure_fn):
-        kwargs = {**kwargs, "runner": runner}
-    figs = [figure_fn(*args, seed=s, **kwargs) for s in seeds]
-    return average_figures(figs)
-
-
+# ----------------------------------------------------------------------
+# Headline scalars
+# ----------------------------------------------------------------------
 def summarize_scalars(
     results: Sequence[ExperimentResult],
 ) -> Dict[str, Tuple[float, float]]:
@@ -177,12 +142,7 @@ def summarize_scalars(
         )
 
     def reduce(vals: List[float]) -> Tuple[float, float]:
-        n = len(vals)
-        mean = sum(vals) / n
-        if n < 2:
-            return (mean, 0.0)
-        var = sum((v - mean) ** 2 for v in vals) / (n - 1)
-        return (mean, math.sqrt(var))
+        return (sum(vals) / len(vals), math.sqrt(sample_variance(vals)))
 
     return {
         "delivery_rate": reduce([r.delivery_rate for r in results]),
@@ -244,9 +204,9 @@ def ci_halfwidth(values: Sequence[float], confidence: float = 0.95) -> float:
     n = len(values)
     if n < 2:
         return 0.0
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return t_quantile(0.5 + confidence / 2.0, n - 1) * math.sqrt(var / n)
+    return t_quantile(0.5 + confidence / 2.0, n - 1) * math.sqrt(
+        sample_variance(values) / n
+    )
 
 
 def ci_series(

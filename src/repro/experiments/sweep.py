@@ -39,14 +39,11 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
 )
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
-
-Series = List[Tuple[float, float]]
 
 #: Friendly axis spellings for the most-swept config fields.
 AXIS_ALIASES = {
@@ -421,91 +418,3 @@ class SweepRunner:
                 self.shutdown(wait=False)
             elif not self.keep_pool:
                 self.shutdown(wait=True)
-
-
-# ----------------------------------------------------------------------
-# Aggregation helpers (seed replication -> mean +- stddev curves)
-# ----------------------------------------------------------------------
-def mean_series(series_list: Sequence[Series]) -> Series:
-    """Pointwise mean of the replicates on the union of their x-grids.
-
-    At each union x the mean runs over the replicates that have started
-    by then (see :func:`resample_union`); a late-starting replicate does
-    not contribute fabricated values to the leading edge.
-    """
-    resampled = resample_union(series_list)
-    if resampled is None:
-        return []
-    grid, cols = resampled
-    out: Series = []
-    for i, x in enumerate(grid):
-        vals = [c[i] for c in cols if c[i] is not None]
-        out.append((x, sum(vals) / len(vals)))
-    return out
-
-
-def stddev_series(series_list: Sequence[Series]) -> Series:
-    """Pointwise sample stddev on the union x-grid, over the replicates
-    defined at each x (0 where fewer than two have started)."""
-    resampled = resample_union(series_list)
-    if resampled is None:
-        return []
-    grid, cols = resampled
-    out: Series = []
-    for i, x in enumerate(grid):
-        vals = [c[i] for c in cols if c[i] is not None]
-        n = len(vals)
-        if n < 2:
-            out.append((x, 0.0))
-            continue
-        mean = sum(vals) / n
-        var = sum((v - mean) ** 2 for v in vals) / (n - 1)
-        out.append((x, math.sqrt(var)))
-    return out
-
-
-def resample_union(
-    series_list: Sequence[Series],
-) -> Optional[Tuple[List[float], List[List[Optional[float]]]]]:
-    """Step-resample every replicate onto the union of their x-grids.
-
-    Replicates of event-driven series (death times, per-seed sampling
-    phases) rarely share exact x values, so intersecting the grids —
-    what the reducers here used to do — collapsed the averaged curve to
-    the few shared points, or to nothing at all.  Instead each series
-    is evaluated at every union x by carrying its most recent sample
-    forward.
-
-    Carry-forward is only defined *after* a series' first sample.
-    Before its first x a series has no value — its column holds ``None``
-    there, and the aggregating reducers skip it (this module's
-    ``mean_series``/``stddev_series`` and their twins in
-    ``repro.experiments.stats``).  The old behaviour back-filled the
-    first sample's value over the whole leading edge, silently biasing
-    means and deflating spreads wherever replicates start at different
-    times.  Every union x is covered by at least one series (it came
-    from one), so reducers never see an all-``None`` column slice.
-    When all replicates already share one grid this is exact (no
-    interpolation happens and the original values pass through).
-
-    Returns ``(grid, columns)`` with ``columns[i]`` the values of
-    ``series_list[i]`` on ``grid`` (``None`` before its first sample),
-    or ``None`` when there is nothing to resample (no series, or an
-    empty series among them).
-    """
-    if not series_list or any(not s for s in series_list):
-        return None
-    grid = sorted({x for s in series_list for x, _ in s})
-    columns: List[List[Optional[float]]] = []
-    for s in series_list:
-        pts = sorted(s)
-        vals: List[Optional[float]] = []
-        i = 0
-        cur: Optional[float] = None
-        for x in grid:
-            while i < len(pts) and pts[i][0] <= x:
-                cur = pts[i][1]
-                i += 1
-            vals.append(cur)
-        columns.append(vals)
-    return grid, columns

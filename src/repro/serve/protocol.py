@@ -355,12 +355,13 @@ def spec_to_payload(spec: Any) -> Dict[str, Any]:
 
 def figure_kwargs_from_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Validated keyword arguments for :func:`repro.api.figure`."""
-    from repro.api import FIGURES
+    from repro.api import FIGURES, NON_ADAPTIVE_FIGURES
 
     name = payload.get("name")
     if not name:
         raise ProtocolError("figure payload needs a 'name'")
-    if str(name).replace("_", "-") not in FIGURES:
+    key = str(name).replace("_", "-")
+    if key not in FIGURES:
         raise ProtocolError(
             f"unknown figure {name!r}; choose from {sorted(FIGURES)}"
         )
@@ -393,6 +394,11 @@ def figure_kwargs_from_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
             raise ProtocolError(
                 f"figure field(s) {sorted(adaptive_fields)} need "
                 f"'target_ci' (adaptive replication; see docs/sweeps.md)"
+            )
+        if key in NON_ADAPTIVE_FIGURES:
+            raise ProtocolError(
+                f"figure {key!r} runs outside the sweep engine and has no "
+                f"adaptive replication; drop 'target_ci' and use 'seeds'"
             )
         policy = adaptive_from_payload(
             {k: payload[k] for k in adaptive_fields}

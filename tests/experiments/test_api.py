@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade: exports, verbs, and deprecation shims."""
+"""The ``repro.api`` facade: exports, verbs, and the bare package root."""
 
 import json
 import warnings
@@ -36,8 +36,7 @@ def test_package_root_reexports_facade_names():
 
 
 def test_clean_import_emits_no_deprecation_warnings():
-    # importing the facade (and the package root) must not trip the
-    # package-root deprecation shims it installs for everyone else
+    # importing the facade (and the package root) must not warn
     import importlib
     import subprocess
     import sys
@@ -122,24 +121,8 @@ def test_load_result_from_dict_json_and_path(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
+# The repro.experiments package root exports nothing
 # ----------------------------------------------------------------------
-def test_package_root_attribute_import_warns():
-    import repro.experiments as experiments
-
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        runner_cls = experiments.SweepRunner
-    assert runner_cls is api.SweepRunner
-
-
-def test_deprecated_rename_resolves():
-    import repro.experiments as experiments
-
-    with pytest.warns(DeprecationWarning):
-        render = experiments.render_snapshot
-    assert render is api.render_snapshot
-
-
 def test_submodule_imports_stay_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -150,8 +133,9 @@ def test_submodule_imports_stay_silent():
 def test_unknown_attribute_still_raises():
     import repro.experiments as experiments
 
-    with pytest.raises(AttributeError):
-        experiments.definitely_not_a_thing
+    for name in ("definitely_not_a_thing", "SweepRunner"):
+        with pytest.raises(AttributeError):
+            getattr(experiments, name)
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,11 @@
-"""Seed replication and series statistics."""
+"""Seed statistics: curve reducers, scalar summaries, t intervals."""
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import FigureData
+from repro.api import ExperimentConfig, SweepSpec, sweep
 from repro.experiments.stats import (
-    average_figures,
     mean_series,
-    replicate_figure,
-    run_replicates,
-    stderr_series,
+    stddev_series,
     summarize_scalars,
 )
 
@@ -17,6 +13,12 @@ TINY = dict(
     n_hosts=8, width_m=300.0, height_m=300.0, n_flows=2,
     sim_time_s=20.0, initial_energy_j=60.0,
 )
+
+
+def seed_results(config, seeds):
+    """``config`` under each seed, through a seed-axis sweep."""
+    spec = SweepSpec(name="seeds", base=config, axes={"seed": list(seeds)})
+    return sweep(spec).results
 
 
 def test_mean_series_on_shared_grid():
@@ -60,138 +62,27 @@ def test_mean_series_leading_edge_excludes_unstarted():
     assert got == [(0.0, 0.0), (5.0, 2.0), (10.0, 2.0)]
 
 
-def test_stderr_series_leading_edge_is_zero():
+def test_stddev_series_leading_edge_is_zero():
     # Only one replicate is defined before b starts: no spread there.
     a = [(0.0, 0.0), (10.0, 0.0)]
     b = [(5.0, 4.0)]
-    got = stderr_series([a, b])
+    got = stddev_series([a, b])
     assert got[0] == (0.0, 0.0)
     assert got[1][1] > 0.0
-
-
-def test_sweep_reducers_share_leading_edge_semantics():
-    # figures.py aggregates through the sweep module's copies of the
-    # reducers; pin them to the same forward-only carry-forward.
-    from repro.experiments.sweep import mean_series as sweep_mean
-    from repro.experiments.sweep import stddev_series as sweep_stddev
-
-    a = [(0.0, 0.0), (10.0, 0.0)]
-    b = [(5.0, 4.0)]
-    assert sweep_mean([a, b]) == [(0.0, 0.0), (5.0, 2.0), (10.0, 2.0)]
-    assert sweep_stddev([a, b])[0] == (0.0, 0.0)
 
 
 def test_mean_series_empty():
     assert mean_series([]) == []
 
 
-def test_stderr_series():
-    a = [(0.0, 1.0)]
-    b = [(0.0, 3.0)]
-    (x, se), = stderr_series([a, b])
-    assert x == 0.0
-    assert se == pytest.approx(1.0)  # sd=sqrt(2), se=sd/sqrt(2)=1
-
-
-def test_stderr_single_replicate_is_zero():
-    assert stderr_series([[(0.0, 5.0)]]) == [(0.0, 0.0)]
-
-
-def test_run_replicates_vary_with_seed():
-    cfg = ExperimentConfig(protocol="grid", **TINY)
-    results = run_replicates(cfg, seeds=[1, 2])
-    assert len(results) == 2
-    assert results[0].config.seed == 1
-    assert results[1].config.seed == 2
-    assert results[0].events_executed != results[1].events_executed
-
-
 def test_summarize_scalars():
     cfg = ExperimentConfig(protocol="grid", **TINY)
-    results = run_replicates(cfg, seeds=[1, 2, 3])
+    results = seed_results(cfg, seeds=[1, 2, 3])
     summary = summarize_scalars(results)
     mean, sd = summary["delivery_rate"]
     assert 0.0 <= mean <= 1.0
     assert sd >= 0.0
     assert set(summary) >= {"aen_end", "alive_end", "first_death_s"}
-
-
-def make_fig(v):
-    return FigureData("f", "T", "x", "y", {"a": [(0.0, v), (1.0, v)]})
-
-
-def test_average_figures():
-    merged = average_figures([make_fig(1.0), make_fig(3.0)])
-    assert merged.series["a"] == [(0.0, 2.0), (1.0, 2.0)]
-    assert "mean of 2 seeds" in merged.title
-
-
-def test_average_figures_rejects_mismatched():
-    other = FigureData("g", "T", "x", "y", {"a": [(0.0, 1.0)]})
-    with pytest.raises(ValueError):
-        average_figures([make_fig(1.0), other])
-    with pytest.raises(ValueError):
-        average_figures([])
-
-
-def test_replicate_figure_end_to_end():
-    from repro.experiments import figures
-    fig = replicate_figure(figures.fig4, seeds=[3, 4], speed=1.0, scale=0.08)
-    assert set(fig.series) == {"grid", "ecgrid", "gaf"}
-    for s in fig.series.values():
-        assert s[0][1] == 1.0
-
-
-# ----------------------------------------------------------------------
-# Replicates through the sweep engine (pool + config-hash cache)
-# ----------------------------------------------------------------------
-def test_run_replicates_hits_cache_on_second_call(tmp_path):
-    # Regression: replicates used to call run_experiment directly,
-    # bypassing the result cache entirely.
-    from repro.experiments.cache import ResultCache
-    from repro.experiments.sweep import SweepRunner
-
-    cache = ResultCache(str(tmp_path))
-    runner = SweepRunner(workers=0, cache=cache)
-    cfg = ExperimentConfig(protocol="grid", **TINY)
-    first = run_replicates(cfg, seeds=[1, 2], runner=runner)
-    assert cache.misses == 2 and cache.hits == 0
-    second = run_replicates(cfg, seeds=[1, 2], runner=runner)
-    assert cache.hits == 2  # every replicate answered from the cache
-    assert [r.events_executed for r in first] == [
-        r.events_executed for r in second
-    ]
-
-
-def test_run_replicates_matches_inline_results():
-    # Routing through the sweep engine must not change the simulation:
-    # the default (no runner) path and an explicit serial runner agree.
-    from repro.experiments.sweep import SweepRunner
-
-    cfg = ExperimentConfig(protocol="grid", **TINY)
-    inline = run_replicates(cfg, seeds=[1, 2])
-    runner = SweepRunner(workers=0, cache=None)
-    routed = run_replicates(cfg, seeds=[1, 2], runner=runner)
-    assert [r.events_executed for r in inline] == [
-        r.events_executed for r in routed
-    ]
-    assert [r.delivery_rate for r in inline] == [
-        r.delivery_rate for r in routed
-    ]
-
-
-def test_replicate_figure_shares_runner_cache(tmp_path):
-    from repro.experiments.cache import ResultCache
-    from repro.experiments.figures import figure
-    from repro.experiments.sweep import SweepRunner
-
-    cache = ResultCache(str(tmp_path))
-    runner = SweepRunner(workers=0, cache=cache)
-    replicate_figure(figure, [1, 2], "fig4", scale=0.08, runner=runner)
-    misses = cache.misses
-    assert misses > 0 and cache.hits == 0
-    replicate_figure(figure, [1, 2], "fig4", scale=0.08, runner=runner)
-    assert cache.misses == misses  # second pass is all cache hits
 
 
 def test_summarize_scalars_empty_raises():
@@ -205,9 +96,9 @@ def test_summarize_scalars_uses_each_results_own_horizon():
     from dataclasses import replace as dc_replace
 
     cfg = ExperimentConfig(protocol="grid", **TINY)
-    short, = run_replicates(cfg, seeds=[1])
+    short, = seed_results(cfg, seeds=[1])
     long_cfg = dc_replace(cfg, sim_time_s=40.0)
-    long, = run_replicates(long_cfg, seeds=[1])
+    long, = seed_results(long_cfg, seeds=[1])
     assert short.first_death_s is None and long.first_death_s is None
     mean, _ = summarize_scalars([short, long])["first_death_s"]
     assert mean == pytest.approx((20.0 + 40.0) / 2)

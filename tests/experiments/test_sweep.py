@@ -296,11 +296,3 @@ def test_figure_json_identical_serial_vs_parallel(fig4_two_seeds):
     )
     assert figure_to_json(parallel) == figure_to_json(fig4_two_seeds)
 
-
-def test_deprecated_wrappers_still_work():
-    from repro.experiments import figures
-
-    with pytest.warns(DeprecationWarning):
-        fig = figures.ablation_loadbalance(scale=0.08, seed=3)
-    assert set(fig.series) == {"first_death_s", "alive_end", "aen_end"}
-    assert dict(fig.series["first_death_s"]).keys() == {0.0, 1.0}

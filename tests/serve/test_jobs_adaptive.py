@@ -157,3 +157,24 @@ def test_bad_adaptive_payloads_are_protocol_errors():
             ))
     finally:
         table.shutdown()
+
+
+def test_adaptive_gateway_tenure_submit_is_rejected():
+    # gateway-tenure traces its runs outside the sweep engine, so it
+    # has no adaptive mode: the submit answers 400 instead of queueing
+    # a job that would trace every seed of the max_seeds pool.
+    table = JobTable(cache=None, concurrency=1)
+    try:
+        with pytest.raises(ProtocolError, match="gateway-tenure") as exc:
+            table.submit(SubmitRequest(
+                kind="figure",
+                payload={
+                    "name": "gateway-tenure", "scale": 0.06, "seed": 3,
+                    "target_ci": 0.5, "max_seeds": 4,
+                    "axes": {"protocols": ["ecgrid"], "qs": [50.0]},
+                },
+            ))
+        assert exc.value.status == 400
+        assert table._jobs == {}
+    finally:
+        table.shutdown()
