@@ -220,11 +220,13 @@ class Simulator:
         queue = self._queue
         live = [entry for entry in queue if not entry[3].cancelled]
         if len(live) <= len(queue) // 2:
-            heapq.heapify(live)
-            self._queue = live
+            # In place: a run loop that is compacting from inside an
+            # event holds this very list in a local.
+            queue[:] = live
+            heapq.heapify(queue)
             self._compactions += 1
         self._next_compact_check = max(
-            self.COMPACT_THRESHOLD, 2 * len(self._queue)
+            self.COMPACT_THRESHOLD, 2 * len(queue)
         )
 
     def _compact_wheel(self) -> None:
@@ -244,7 +246,8 @@ class Simulator:
                 live += len(keep)
         if live <= self._wheel_size // 2:
             self._wheel_slots = live_slots
-            self._wheel_index = sorted(live_slots)
+            # In place, like the heap: the run loop holds the index.
+            self._wheel_index[:] = sorted(live_slots)
             self._wheel_size = live
             self._wheel_compactions += 1
         self._next_wheel_compact = max(
@@ -399,6 +402,26 @@ class Simulator:
     def stop(self) -> None:
         """Stop a running :meth:`run` after the current event."""
         self._stopped = True
+
+    def clear(self) -> None:
+        """Empty the calendar in place and cancel every pending event.
+
+        Each pending event also drops its callback and arguments: an
+        armed timer and its event point at each other, so an event left
+        holding its callback would keep a torn-down model in a reference
+        cycle.  The clock and the counters are kept.
+        """
+        pending = list(self._queue)
+        for entries in self._wheel_slots.values():
+            pending += entries
+        for _, _, _, event in pending:
+            event.cancelled = True
+            event.fn = None
+            event.args = ()
+        self._queue.clear()
+        self._wheel_slots.clear()
+        self._wheel_index.clear()
+        self._wheel_size = 0
 
     # ------------------------------------------------------------------
     # Instrumentation

@@ -87,11 +87,6 @@ class BatteryMonitor:
         if not self._check_pending:
             self._book_check()
 
-    def reschedule(self) -> None:
-        """Compatibility hook: ensure a check is booked."""
-        if not self._check_pending and not self.battery.depleted:
-            self._book_check()
-
     def poll(self) -> None:
         """Re-evaluate *now*, after an out-of-band battery change (an
         injected drain): fires depletion or a band crossing immediately

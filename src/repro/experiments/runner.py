@@ -250,53 +250,58 @@ def run_experiment(
 
         return run_sharded(config, shards)
     network = build_network(config)
-    if tracer is None and config.evaluate_partition:
-        # Partition scoring reads the gateway (and fault) streams; a
-        # private tracer records them without touching dispatch.  The
-        # wide ring keeps high-churn scenarios from evicting the early
-        # elections the tenure reconstruction needs.
-        from repro.obs import Tracer
+    try:
+        if tracer is None and config.evaluate_partition:
+            # Partition scoring reads the gateway (and fault) streams; a
+            # private tracer records them without touching dispatch.  The
+            # wide ring keeps high-churn scenarios from evicting the early
+            # elections the tenure reconstruction needs.
+            from repro.obs import Tracer
 
-        tracer = Tracer(categories=("gateway", "fault"), ring=1_000_000)
-    if tracer is not None:
-        network.attach_tracer(tracer)
-        if tracer.sim:
-            instruments = list(instruments) + [tracer]
-    checker = None
-    if network.fault_injector is not None:
-        # Invariant clean-sample times feed the recovery metrics; the
-        # checker only reads state, never perturbs the run.
-        from repro.experiments.validate import InvariantChecker
+            tracer = Tracer(categories=("gateway", "fault"), ring=1_000_000)
+        if tracer is not None:
+            network.attach_tracer(tracer)
+            if tracer.sim:
+                instruments = list(instruments) + [tracer]
+        checker = None
+        if network.fault_injector is not None:
+            # Invariant clean-sample times feed the recovery metrics; the
+            # checker only reads state, never perturbs the run.
+            from repro.experiments.validate import InvariantChecker
 
-        checker = InvariantChecker(
-            network, interval_s=config.sample_interval_s
-        )
-    t0 = time.perf_counter()
-    network.run(until=config.sim_time_s, instruments=instruments)
-    wall = time.perf_counter() - t0
+            checker = InvariantChecker(
+                network, interval_s=config.sample_interval_s
+            )
+        t0 = time.perf_counter()
+        network.run(until=config.sim_time_s, instruments=instruments)
+        wall = time.perf_counter() - t0
 
-    recovery: Dict[str, float] = {}
-    if network.fault_injector is not None:
-        from repro.metrics.recovery import recovery_summary
+        recovery: Dict[str, float] = {}
+        if network.fault_injector is not None:
+            from repro.metrics.recovery import recovery_summary
 
-        recovery = recovery_summary(
-            network.fault_injector.plan,
-            network.packet_log,
-            config.sim_time_s,
-            checker.report if checker is not None else None,
-        )
-    result = result_from_network(network, config, wall, recovery)
-    if (
-        config.evaluate_partition
-        and tracer is not None
-        and tracer.gateway
-    ):
-        from repro.metrics.partition import partition_quality
+            recovery = recovery_summary(
+                network.fault_injector.plan,
+                network.packet_log,
+                config.sim_time_s,
+                checker.report if checker is not None else None,
+            )
+        result = result_from_network(network, config, wall, recovery)
+        if (
+            config.evaluate_partition
+            and tracer is not None
+            and tracer.gateway
+        ):
+            from repro.metrics.partition import partition_quality
 
-        events = list(tracer.events("gateway"))
-        if tracer.fault:
-            events += list(tracer.events("fault"))
-        result.partition = partition_quality(
-            events, config.sim_time_s
-        ).to_dict()
-    return result
+            events = list(tracer.events("gateway"))
+            if tracer.fault:
+                events += list(tracer.events("fault"))
+            result.partition = partition_quality(
+                events, config.sim_time_s
+            ).to_dict()
+        return result
+    finally:
+        # After the reduce: the result keeps only plain values and the
+        # sampler's series, and closing frees the run by reference count.
+        network.close()

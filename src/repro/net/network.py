@@ -76,8 +76,11 @@ class Network:
         self.config = config
         self.params = params or ProtocolParams()
         #: Kept so injected node recoveries can build fresh protocol
-        #: instances (see :meth:`revive`).
+        #: instances (see :meth:`fresh_protocol`).
         self._protocol_factory = protocol_factory
+        #: Protocol instances a fresh one replaced; :meth:`close` drops
+        #: their state with the rest of the run's.
+        self._replaced: List[RoutingProtocol] = []
         self.sim = Simulator(seed=config.seed)
         self.grid = GridMap(config.width_m, config.height_m, config.cell_side_m)
         self.medium = Medium(self.sim, self.grid, config.medium)
@@ -127,6 +130,7 @@ class Network:
             self.sim, self.nodes, config.sample_interval_s
         )
         self._started = False
+        self._closed = False
         #: Set by :meth:`inject_faults`; None for fault-free runs.
         self.fault_injector = None
         #: The null tracer unless :meth:`attach_tracer` installed one.
@@ -202,8 +206,15 @@ class Network:
         node = self.nodes_by_id.get(node_id)
         if node is None or node.alive:
             return False
-        protocol = self._protocol_factory(node, self.params, self.counters)
-        return node.revive(protocol, energy_frac)
+        return node.revive(self.fresh_protocol(node), energy_frac)
+
+    def fresh_protocol(self, node: Node) -> RoutingProtocol:
+        """A new protocol instance for ``node``, to replace the one it
+        runs (a reboot, or a host adopted by another shard region).
+        The replaced instance is kept for :meth:`close`."""
+        if node.protocol is not None:
+            self._replaced.append(node.protocol)
+        return self._protocol_factory(node, self.params, self.counters)
 
     # ------------------------------------------------------------------
     # Execution
@@ -228,6 +239,8 @@ class Network:
         """
         import time as _time
 
+        if self._closed:
+            raise RuntimeError("cannot run a closed network")
         self.start()
         for inst in instruments:
             self.sim.instrument(inst)
@@ -245,6 +258,31 @@ class Network:
                     end(self.sim, wall)
                 self.sim.uninstrument(inst)
         self.sampler.sample()
+
+    def close(self) -> None:
+        """Tear the finished run down so reference counting frees it.
+
+        The wiring above ties a run into reference cycles: nodes and
+        their parts hold one another's bound methods, and an armed
+        timer and its pending event point at each other.  CPython frees
+        cycles only in a full collection.  ``close`` clears the
+        calendar, unbinds the tracer (the caller may keep it) and drops
+        all state of every part this network wired, protocols included,
+        so a new callback, timer or closure cannot bring a cycle back.
+        Call it once the result is reduced; the network is unusable
+        afterwards.  Idempotent.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.sim.clear()
+        self.tracer.bind(None)
+        parts = [self.medium, self.ras, self.fault_injector, *self._replaced]
+        for node in self.nodes:
+            parts += (node.protocol, node.mac, node.radio, node.monitor, node)
+        for part in parts:
+            if part is not None:
+                vars(part).clear()
 
     # ------------------------------------------------------------------
     # Readouts

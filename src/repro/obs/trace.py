@@ -205,7 +205,8 @@ class Tracer:
     # Configuration
     # ------------------------------------------------------------------
     def bind(self, sim: Any) -> None:
-        """Attach the simulator whose clock timestamps emissions."""
+        """Attach the simulator whose clock timestamps emissions
+        (``None`` detaches it, as :meth:`Network.close` does)."""
         self._sim = sim
 
     def enable(self, *categories: str) -> None:

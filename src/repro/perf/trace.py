@@ -98,4 +98,7 @@ def golden_run(config: Any) -> Tuple[str, str, Dict[str, Any]]:
     network = build_network(config)
     recorder = TraceRecorder()
     network.run(until=config.sim_time_s, instruments=(recorder,))
-    return recorder.digest(), state_digest(network), state_digest_record(network)
+    record = state_digest_record(network)
+    state = state_digest(network)
+    network.close()
+    return recorder.digest(), state, record

@@ -454,7 +454,7 @@ class Region:
         node.radio.power_on()
         net.medium.register(node.radio)
         net.ras.attach(node.id, node.radio, node._on_paged)
-        node.protocol = net._protocol_factory(node, net.params, net.counters)
+        node.protocol = net.fresh_protocol(node)
         node._schedule_crossing()
         node.protocol.start()
         self.owned.add(rec.node_id)

@@ -111,7 +111,10 @@ def _run_inprocess(
     for region in regions:
         region.finish()
     wall = time.perf_counter() - t0
-    return [r.export() for r in regions], wall
+    reports = [r.export() for r in regions]
+    for region in regions:
+        region.net.close()
+    return reports, wall
 
 
 def _worker_main(conn, cfg_dict, index: int, n_shards: int, window_s: float):
@@ -374,4 +377,6 @@ def _run_single(config: ExperimentConfig, window_s: float, instruments=()):
                 end(sim, wall)
             sim.uninstrument(inst)
     region.finish()
-    return result_from_network(region.net, config, wall)
+    result = result_from_network(region.net, config, wall)
+    region.net.close()
+    return result

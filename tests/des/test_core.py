@@ -203,6 +203,39 @@ def test_compaction_preserves_pending_live_events():
     assert fired == list(range(10))
 
 
+def test_compaction_inside_run_keeps_later_events():
+    """An event that trips the heap compaction and then schedules more
+    work: the running loop must see the rebuilt calendar."""
+    sim = Simulator()
+    fired = []
+
+    def burst():
+        for i in range(Simulator.COMPACT_THRESHOLD + 1000):
+            sim.at(1e3 + i, fired.append, "never").cancel()
+        sim.at(5.0, fired.append, "after")
+
+    sim.at(1.0, burst)
+    sim.run(until=20.0)
+    assert sim._compactions == 1
+    assert fired == ["after"]
+
+
+def test_clear_cancels_pending_events_and_drops_callbacks():
+    sim = Simulator()
+    fired = []
+    sim.at(1.0, fired.append, "ran")
+    sim.run(until=2.0)
+    heap = sim.at(3.0, fired.append, "heap")
+    wheel = sim.at(4.0, fired.append, "wheel", wheel=True)
+    sim.clear()
+    assert sim.pending == 0
+    assert not heap.active and not wheel.active
+    assert heap._event.fn is None and wheel._event.args == ()
+    assert (sim.now, sim.events_executed) == (2.0, 1)
+    sim.run(until=10.0)
+    assert fired == ["ran"]
+
+
 def test_call_soon_priority_breaks_same_instant_ties():
     sim = Simulator()
     order = []

@@ -169,3 +169,22 @@ def test_wheel_compaction_drops_cancelled_entries():
     sim.at(2000.0, _record, [], "live", wheel=True)
     assert sim._wheel_compactions >= 1
     assert sim._wheel_size == 1
+
+
+def test_wheel_compaction_inside_run_keeps_later_timers():
+    """An event that trips the wheel compaction and then books more
+    timers: the running loop must drain the rebuilt wheel, in order."""
+    sim = Simulator(seed=1)
+    log = []
+
+    def burst():
+        for i in range(Simulator.WHEEL_COMPACT_THRESHOLD + 1000):
+            sim.at(1000.0 + i, _record, log, "never", wheel=True).cancel()
+        sim.at(5.0, _record, log, "wheel-5", wheel=True)
+        sim.at(6.0, _record, log, "heap-6")
+        sim.at(7.0, _record, log, "wheel-7", wheel=True)
+
+    sim.at(1.0, burst)
+    sim.run(until=20.0)
+    assert sim._wheel_compactions == 1
+    assert log == ["wheel-5", "heap-6", "wheel-7"]

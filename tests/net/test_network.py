@@ -107,6 +107,19 @@ def test_start_is_idempotent():
     net.run(until=1.0)
 
 
+def test_close_is_idempotent_and_final():
+    net = make_static_network([(50, 50), (60, 60)])
+    net.run(until=5.0)
+    alive = net.sampler.alive_fraction
+    rows = list(alive)
+    net.close()
+    net.close()
+    assert net.sim.pending == 0
+    assert list(alive) == rows and rows
+    with pytest.raises(RuntimeError):
+        net.run(until=10.0)
+
+
 def test_sampler_records_death_times():
     net = make_static_network([(50, 50), (60, 60)], protocol="grid",
                               energy_j=5.0)
