@@ -13,9 +13,9 @@ class Timer:
 
     Protocol state machines re-arm the same logical timer constantly
     (HELLO timeouts, dwell timers, route-request timeouts); this wrapper
-    owns the pending handle so callers never leak stale events.  Arming
-    goes through the simulator's timer wheel: restarts are O(1) and a
-    cancelled arming is discarded without ever entering the heap.
+    owns the pending handle so callers never leak stale events.  A
+    restart cancels the old arming lazily; the calendar's compaction
+    sweeps cancelled armings once they dominate it.
     """
 
     __slots__ = ("sim", "fn", "_handle")
@@ -38,12 +38,7 @@ class Timer:
         """(Re-)arm the timer ``delay`` seconds from now, cancelling any
         previous arming."""
         self.cancel()
-        self._handle = self.sim.after(delay, self._fire, wheel=True)
-
-    def start_at(self, time: float) -> None:
-        """(Re-)arm the timer at absolute ``time``."""
-        self.cancel()
-        self._handle = self.sim.at(time, self._fire, wheel=True)
+        self._handle = self.sim.after(delay, self._fire)
 
     def cancel(self) -> None:
         if self._handle is not None:
@@ -55,19 +50,11 @@ class Timer:
         self.fn()
 
 
-#: Public name for the restartable one-shot timer.  Region-owned wheels
-#: (sharded execution) address it under this name; ``Timer`` stays as
-#: the short internal spelling.
-RestartableTimer = Timer
-
-
 class PeriodicTimer:
     """A timer that re-fires every ``period`` seconds until stopped.
 
     An optional per-firing ``jitter(rng) -> float`` offset decorrelates
     beacons across nodes (the classic fix for HELLO synchronization).
-    Re-arming goes through the simulator's timer wheel, so a fleet of
-    per-node beacons costs O(1) per firing instead of heap churn.
     """
 
     __slots__ = ("sim", "fn", "period", "jitter", "_handle", "_running")
@@ -100,7 +87,7 @@ class PeriodicTimer:
         delay = self.period if initial_delay is None else initial_delay
         if self.jitter is not None:
             delay += self.jitter()
-        self._handle = self.sim.after(max(0.0, delay), self._fire, wheel=True)
+        self._handle = self.sim.after(max(0.0, delay), self._fire)
 
     def stop(self) -> None:
         self._running = False
@@ -114,5 +101,5 @@ class PeriodicTimer:
         delay = self.period
         if self.jitter is not None:
             delay += self.jitter()
-        self._handle = self.sim.after(max(0.0, delay), self._fire, wheel=True)
+        self._handle = self.sim.after(max(0.0, delay), self._fire)
         self.fn()

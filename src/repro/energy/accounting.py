@@ -141,7 +141,7 @@ class BatteryMonitor:
         # Earliest the threshold can be reached, at worst-case draw.
         delay = max(margin / self.max_draw_w, _CHECK_FLOOR_S)
         self._check_pending = True
-        self.sim.after(delay, self._check, wheel=True)
+        self.sim.after(delay, self._check)
 
     def _check(self) -> None:
         self._check_pending = False

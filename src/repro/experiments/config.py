@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
@@ -108,8 +108,18 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"
             )
+        # JSON accepts Infinity and NaN.  An infinite horizon or rate, or
+        # a zero sample interval, gives a run that never ends.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_flows < 0 or self.sim_time_s <= 0:
             raise ValueError("need n_flows >= 0 and sim_time_s > 0")
+        if self.sample_interval_s <= 0 or self.flow_rate_pps <= 0:
+            raise ValueError(
+                "need sample_interval_s > 0 and flow_rate_pps > 0"
+            )
         from repro.core.election import ELECTION_POLICIES
 
         if self.params.election_policy not in ELECTION_POLICIES:

@@ -230,7 +230,7 @@ def run_experiment(
     network before the run; protocol/PHY/MAC events stream into it
     without perturbing the schedule.  If its ``sim`` category is
     enabled it additionally rides the event loop as an instrument
-    (per-event dispatch timing; forces the instrumented loop).
+    (per-event dispatch timing).
 
     ``shards`` (N >= 2) routes the run through the space-parallel
     sharded runner (:func:`repro.shard.runner.run_sharded`).  Sharded

@@ -179,7 +179,7 @@ class EnergySampler:
         self._schedule()
 
     def _schedule(self) -> None:
-        self.sim.after(self.interval_s, self._tick, priority=100, wheel=True)
+        self.sim.after(self.interval_s, self._tick, priority=100)
 
     def _tick(self) -> None:
         self.sample()

@@ -45,15 +45,15 @@ TRACE_JSONL_SCHEMA = 1
 #: - ``radio``: physical transmissions (for the sleep-safety auditor)
 #: - ``fault``: injected fault activations
 #: - ``sim``: kernel dispatch statistics (counters only, no event
-#:   stream; enabling it attaches the tracer to the instrumented
-#:   dispatch loop, which costs wall time)
+#:   stream; enabling it attaches the tracer as a dispatch instrument,
+#:   which times every callback and costs wall time)
 CATEGORIES = (
     "gateway", "page", "rreq", "cell", "drop", "packet", "radio",
     "fault", "sim",
 )
 
 #: Categories enabled by default: everything except ``sim`` (dispatch
-#: stats need the instrumented twin loop and are opt-in).
+#: stats time every callback and are opt-in).
 DEFAULT_CATEGORIES = tuple(c for c in CATEGORIES if c != "sim")
 
 

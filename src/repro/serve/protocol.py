@@ -331,7 +331,10 @@ def spec_from_payload(payload: Mapping[str, Any]) -> Any:
             axes=resolved,
             scale=float(payload.get("scale", 1.0)),
         )
-        spec.expand()  # surfaces unknown axis names / bad values now
+        # Surfaces unknown axis names and bad values at submit, not in
+        # a worker.
+        for point in spec.expand():
+            point.config.validate()
     except (TypeError, ValueError, KeyError) as exc:
         raise ProtocolError(f"bad sweep spec: {exc}") from exc
     return spec

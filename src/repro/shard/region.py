@@ -1,9 +1,9 @@
 """Region-local DES state for space-parallel sharding.
 
-A :class:`Region` owns one vertical band of the plane: the calendar and
-timer wheel (its own :class:`~repro.des.core.Simulator`), the medium's
-cell index and active/tx lists, the RNG streams, and battery
-settlement for every host currently located in the band.  Regions
+A :class:`Region` owns one vertical band of the plane: the calendar
+(its own :class:`~repro.des.core.Simulator`), the medium's cell index
+and active/tx lists, the RNG streams, and battery settlement for every
+host currently located in the band.  Regions
 never share mutable state; everything that crosses a band edge —
 transmissions whose disk overlaps a neighbor, RAS pages, and hosts
 that walked across — travels as plain-data records through a

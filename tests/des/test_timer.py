@@ -3,7 +3,7 @@
 import pytest
 
 from repro.des.core import Simulator
-from repro.des.timer import PeriodicTimer, RestartableTimer, Timer
+from repro.des.timer import PeriodicTimer, Timer
 
 
 def test_timer_fires_once_after_delay():
@@ -48,15 +48,6 @@ def test_timer_armed_and_expiry():
     assert not t.armed
 
 
-def test_timer_start_at_absolute_time():
-    sim = Simulator()
-    fired = []
-    t = Timer(sim, lambda: fired.append(sim.now))
-    t.start_at(7.0)
-    sim.run()
-    assert fired == [7.0]
-
-
 def test_timer_can_rearm_from_callback():
     sim = Simulator()
     fired = []
@@ -72,16 +63,12 @@ def test_timer_can_rearm_from_callback():
     assert fired == [1.0, 2.0, 3.0]
 
 
-def test_restartable_timer_is_the_timer():
-    assert RestartableTimer is Timer
-
-
 def test_timer_cancel_after_fire_is_noop_and_rearmable():
     # cancel() on an already-fired timer must not touch the dead
     # handle, and the timer must re-arm cleanly afterwards.
     sim = Simulator()
     fired = []
-    t = RestartableTimer(sim, lambda: fired.append(sim.now))
+    t = Timer(sim, lambda: fired.append(sim.now))
     t.start(1.0)
     sim.run()
     assert fired == [1.0]
@@ -98,7 +85,7 @@ def test_timer_double_start_rearms_exactly_once():
     # second), both when the second is earlier and when it is later.
     sim = Simulator()
     fired = []
-    t = RestartableTimer(sim, lambda: fired.append(sim.now))
+    t = Timer(sim, lambda: fired.append(sim.now))
     t.start(1.0)
     t.start(4.0)  # later: the 1.0 arming must die
     assert t.expiry == 4.0
@@ -112,25 +99,23 @@ def test_timer_double_start_rearms_exactly_once():
     assert fired == [4.0, 12.0]
 
 
-def test_timer_mass_cancel_triggers_wheel_compaction():
-    # A fleet of far-future restartable timers that all get cancelled
-    # (every node re-arming its HELLO timeout, then dying) must be
-    # swept out of the wheel once cancelled entries dominate — each
-    # region owns a wheel, so leaked entries would multiply per shard.
+def test_timer_mass_cancel_triggers_heap_compaction():
+    # A fleet of far-future timers that all get cancelled (every node
+    # re-arming its HELLO timeout, then dying) must be swept out of the
+    # calendar once cancelled entries dominate — each shard region owns
+    # a calendar, so leaked entries would multiply per shard.
     sim = Simulator(seed=1)
-    threshold = Simulator.WHEEL_COMPACT_THRESHOLD
-    timers = [
-        RestartableTimer(sim, lambda: None) for _ in range(threshold - 1)
-    ]
+    threshold = Simulator.COMPACT_THRESHOLD
+    timers = [Timer(sim, lambda: None) for _ in range(threshold - 1)]
     for i, t in enumerate(timers):
         t.start(1000.0 + (i % 89))
     for t in timers:
         t.cancel()
         assert not t.armed
-    survivor = RestartableTimer(sim, lambda: None)
+    survivor = Timer(sim, lambda: None)
     survivor.start(2000.0)  # reaches the threshold and trips the sweep
-    assert sim._wheel_compactions >= 1
-    assert sim._wheel_size == 1
+    assert sim._compactions >= 1
+    assert sim.pending == 1
     assert survivor.armed
 
 

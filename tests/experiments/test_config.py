@@ -1,5 +1,7 @@
 """ExperimentConfig: defaults, validation, scaling."""
 
+import math
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig, PROTOCOLS
@@ -20,6 +22,22 @@ def test_validate_rejects_unknown_protocol():
     cfg = ExperimentConfig(protocol="ospf")
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"sim_time_s": math.inf},
+        {"sim_time_s": math.nan},
+        {"sample_interval_s": 0.0},
+        {"flow_rate_pps": math.inf},
+    ],
+)
+def test_validate_rejects_runs_that_never_end(override):
+    # Each of these kept run_experiment dispatching forever (or, for
+    # NaN, returned a meaningless run) before validate() caught it.
+    with pytest.raises(ValueError):
+        ExperimentConfig(**override).validate()
 
 
 def test_all_registered_protocols_validate():

@@ -1,18 +1,16 @@
 """The kernel's fast paths against the plain code they skip, under faults.
 
-Cell-indexed carrier sense and the timer wheel each skip work that a
-plainer path in the same kernel still does: carrier sense below
-``TX_SCAN_CUTOFF`` runs the active-list scan, and an event outside the
-wheel goes straight to the heap.  Forcing every query onto those paths
-must leave a faulted run — crashes, partitions, page loss and drains —
-bit-for-bit unchanged.  (The medium's per-cell buckets have no plainer
-twin; ``tests/properties/test_near_cache.py`` checks them against a
+Cell-indexed carrier sense skips work that a plainer path in the same
+kernel still does: below ``TX_SCAN_CUTOFF`` it runs the active-list
+scan.  Forcing every query onto that path must leave a faulted run —
+crashes, partitions, page loss and drains — bit-for-bit unchanged.
+(The medium's per-cell buckets have no plainer twin;
+``tests/properties/test_near_cache.py`` checks them against a
 brute-force scan instead.)
 """
 
 import math
 
-from repro.des.core import Simulator
 from repro.experiments.config import ExperimentConfig
 from repro.faults.plan import standard_fault_plan
 from repro.perf.trace import golden_run
@@ -35,14 +33,5 @@ def test_plain_paths_reproduce_the_fast_paths_under_faults(monkeypatch):
     monkeypatch.setattr(Medium, "TX_SCAN_CUTOFF", 0)
     fast = golden_run(CONFIG)[:2]
 
-    init = Simulator.__init__
-
-    def heap_only(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        # Every wheel booking lands before the drained horizon, so it
-        # takes the heap path.
-        self._drained_until = math.inf
-
-    monkeypatch.setattr(Simulator, "__init__", heap_only)
     monkeypatch.setattr(Medium, "TX_SCAN_CUTOFF", math.inf)
     assert golden_run(CONFIG)[:2] == fast

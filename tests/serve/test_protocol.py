@@ -129,6 +129,22 @@ def test_config_from_payload_validates():
         config_from_payload({"sim_time_s": -5.0})
 
 
+def test_non_finite_payloads_are_rejected_at_submit():
+    # JSON's Infinity literal and an overflowing 1e400 both parse to
+    # inf; either horizon would hold an executor thread for good.
+    req = SubmitRequest.from_json(
+        '{"kind": "run", "payload": {"protocol": "ecgrid", "n_hosts": 4,'
+        ' "sim_time_s": Infinity}}'
+    )
+    with pytest.raises(ProtocolError) as run_exc:
+        config_from_payload(req.payload)
+    assert run_exc.value.status == 400
+    sweep = json.loads('{"axes": {"time": [60, 1e400]}}')
+    with pytest.raises(ProtocolError) as sweep_exc:
+        spec_from_payload(sweep)
+    assert sweep_exc.value.status == 400
+
+
 def test_spec_payload_round_trip():
     payload = {
         "name": "density",
