@@ -573,6 +573,10 @@ class GridRoutingMixin(GridProtocolBase):
         self.location_cache[rep.dst] = rep.dest_cell
         if rep.src == self.node.id:
             self._route_ready(rep)
+        elif rep.hops >= self.node.grid.cols * self.node.grid.rows:
+            # Reverse pointers can form a cycle between gateways, and a
+            # loop-free path never crosses more cells than the grid has.
+            self.counters.inc("rrep_lost")
         else:
             self._send_rrep_toward(
                 Rrep(

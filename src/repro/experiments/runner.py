@@ -172,11 +172,7 @@ def result_from_network(
     wall_time_s: float,
     recovery: Optional[Dict[str, float]] = None,
 ) -> ExperimentResult:
-    """Reduce a finished network to the standard result record.
-
-    Shared by :func:`run_experiment` and the sharded runner's 1-shard
-    path (:mod:`repro.shard.runner`), so both produce byte-identical
-    records from the same end state."""
+    """Reduce a finished network to the standard result record."""
     log = network.packet_log
     med = network.medium.stats
     return ExperimentResult(
@@ -218,7 +214,6 @@ def run_experiment(
     config: ExperimentConfig,
     instruments=(),
     tracer=None,
-    shards: Optional[int] = None,
 ) -> ExperimentResult:
     """Execute one full scenario and reduce it to a result record.
 
@@ -231,24 +226,7 @@ def run_experiment(
     without perturbing the schedule.  If its ``sim`` category is
     enabled it additionally rides the event loop as an instrument
     (per-event dispatch timing).
-
-    ``shards`` (N >= 2) routes the run through the space-parallel
-    sharded runner (:func:`repro.shard.runner.run_sharded`).  Sharded
-    results are statistically, not bitwise, equivalent; runs that need
-    exact dispatch (tracer, instruments, fault plans, partition
-    scoring) always take the single-kernel path below.
     """
-    if (
-        shards is not None
-        and shards > 1
-        and tracer is None
-        and not instruments
-        and config.faults is None
-        and not config.evaluate_partition
-    ):
-        from repro.shard.runner import run_sharded
-
-        return run_sharded(config, shards)
     network = build_network(config)
     try:
         if tracer is None and config.evaluate_partition:

@@ -210,8 +210,8 @@ class Network:
 
     def fresh_protocol(self, node: Node) -> RoutingProtocol:
         """A new protocol instance for ``node``, to replace the one it
-        runs (a reboot, or a host adopted by another shard region).
-        The replaced instance is kept for :meth:`close`."""
+        runs when it reboots.  The replaced instance is kept for
+        :meth:`close`."""
         if node.protocol is not None:
             self._replaced.append(node.protocol)
         return self._protocol_factory(node, self.params, self.counters)

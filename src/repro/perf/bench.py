@@ -215,106 +215,6 @@ def run_scenario(
     }
 
 
-#: Default shard counts of the shard-sweep record (``bench --shards``).
-SHARD_COUNTS = (1, 2, 4)
-
-
-def run_scenario_shards(
-    name: str,
-    shard_counts: Sequence[int] = SHARD_COUNTS,
-    seeds: Optional[Sequence[int]] = None,
-    repeats: Optional[int] = None,
-) -> Dict[str, Dict[str, Any]]:
-    """Shard-count sweep of one pinned scenario.
-
-    Returns one aggregate per shard count, keyed ``"<name>@s<k>"``
-    (``@s1`` is the plain single-kernel runner, the baseline the other
-    counts are judged against).  Each (seed, count) pair keeps its
-    *minimum* wall time over ``repeats`` passes, and within every pass
-    the counts run in alternating order — forward on even passes,
-    reversed on odd ones (ABBA) — so slow drift of the box (thermal,
-    cache, background load) cancels out of the comparison instead of
-    systematically favoring whichever count runs last.
-
-    N-shard event counts exceed the 1-shard count (boundary frames
-    replay in every overlapping region), so speedup must be judged on
-    wall seconds, not events/sec.
-    """
-    from repro.experiments.runner import run_experiment
-    from repro.shard.runner import run_sharded
-
-    spec = ALL_SCENARIOS[name]
-    if seeds is None:
-        seeds = spec["seeds"]
-    if repeats is None:
-        repeats = spec.get("repeats", 1)
-    best: Dict[Tuple[int, int], Any] = {}
-    for rep in range(max(1, repeats)):
-        order = list(shard_counts) if rep % 2 == 0 else list(shard_counts)[::-1]
-        for seed in seeds:
-            config = scenario_config(name, seed)
-            for count in order:
-                if count <= 1:
-                    result = run_experiment(config)
-                else:
-                    result = run_sharded(config, count)
-                key = (seed, count)
-                if key not in best or result.wall_time_s < best[key].wall_time_s:
-                    best[key] = result
-    out: Dict[str, Dict[str, Any]] = {}
-    for count in shard_counts:
-        runs = []
-        total_events = 0
-        total_wall = 0.0
-        for seed in seeds:
-            result = best[(seed, count)]
-            runs.append(
-                {
-                    "seed": seed,
-                    "shards": count,
-                    "events": result.events_executed,
-                    "wall_s": result.wall_time_s,
-                    "events_per_sec": (
-                        result.events_executed / result.wall_time_s
-                    ),
-                    "repeats": max(1, repeats),
-                }
-            )
-            total_events += result.events_executed
-            total_wall += result.wall_time_s
-        out[f"{name}@s{count}"] = {
-            "events": total_events,
-            "wall_s": total_wall,
-            "events_per_sec": total_events / total_wall if total_wall else 0.0,
-            "runs": runs,
-        }
-    return out
-
-
-def make_shard_record(
-    scenarios: Iterable[str],
-    shard_counts: Sequence[int] = SHARD_COUNTS,
-    label: str = "",
-) -> Dict[str, Any]:
-    """A bench record sweeping shard counts over the given scenarios."""
-    record: Dict[str, Any] = {
-        "schema": BENCH_SCHEMA,
-        "label": label,
-        "git_rev": _git_rev(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu": _cpu_model(),
-        "cpu_count": os.cpu_count(),
-        "scenarios": {},
-    }
-    for name in scenarios:
-        record["scenarios"].update(
-            run_scenario_shards(name, shard_counts=shard_counts)
-        )
-    return record
-
-
 def _figure_suite_spec(name: str):
     """The pinned sweep behind one ``figures``-suite scenario."""
     from repro.experiments.sweep import SweepSpec

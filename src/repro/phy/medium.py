@@ -98,19 +98,6 @@ class _Transmission:
         self.cell_index = -1
 
 
-class _ForeignSender:
-    """Stand-in ``_Transmission.sender`` for frames injected from a
-    neighboring region (sharded runs): identical to no local radio, so
-    carrier sense's ``tx.sender is radio`` self-test never matches, and
-    never charged or ``end_tx``-ed — the owning region pays the TX
-    energy."""
-
-    __slots__ = ()
-
-
-_FOREIGN_SENDER = _ForeignSender()
-
-
 #: A bucket's view for the receiver loops:
 #: ``(x0, y0, x1, y1, all_radios, awake, sleepers, len(sleepers))``.
 _Rect = Tuple[
@@ -148,13 +135,6 @@ class _Bucket:
         sleepers = tuple([r for r in radios if r.base_mode is sleep])
         self.rect = self.bounds + (radios, awake, sleepers, len(sleepers))
 
-    def without(self, node_id: int) -> "_Bucket":
-        """A detached copy of this bucket minus one radio."""
-        copy = _Bucket(self.bounds)
-        copy.radios = {k: r for k, r in self.radios.items() if k != node_id}
-        copy.rebuild()
-        return copy
-
 
 @dataclass
 class MediumStats:
@@ -168,11 +148,6 @@ class MediumStats:
     #: ``frames_corrupted``).
     frames_fault_dropped: int = 0
     bytes_sent: int = 0
-    #: Transmissions injected by a neighboring region (sharded runs):
-    #: the *same physical frames* counted in the owner's ``frames_sent``,
-    #: replayed here for edge-zone reception and carrier sense.  Kept
-    #: out of ``frames_sent`` so summing shard stats never double-counts.
-    frames_foreign: int = 0
 
 
 class Medium:
@@ -188,9 +163,8 @@ class Medium:
       live base modes.  Each ``(center cell, radius)`` maps to the
       tuple of its covering buckets, built on first use and never
       invalidated (the buckets themselves stay current).
-      ``transmit``, ``inject_foreign`` and ``radios_near`` walk that
-      tuple, classify whole cells against the disk and per-point-test
-      only the straddlers;
+      ``transmit`` and ``radios_near`` walk that tuple, classify whole
+      cells against the disk and per-point-test only the straddlers;
     - a **cell-indexed active-transmission set** (``_active_by_cell``)
       so carrier sense probes only the sense-range cell neighborhood
       instead of every in-flight transmission.
@@ -249,15 +223,6 @@ class Medium:
         #: Installed by :class:`repro.faults.inject.FaultInjector`.
         self.fault_hook: Optional[
             Callable[[Vec2, Radio], bool]
-        ] = None
-        #: Optional boundary hook installed by a sharded-run
-        #: :class:`~repro.shard.region.Region`: called once per local
-        #: transmission with ``(now, pos, payload, wire_bytes,
-        #: sender_id)`` so frames near a region edge can be shipped to
-        #: the neighboring regions.  ``None`` (the default) keeps every
-        #: path byte-identical to the unsharded kernel.
-        self.boundary_tap: Optional[
-            Callable[[float, Vec2, object, int, int], None]
         ] = None
 
     def _rings_for(self, radius: float) -> int:
@@ -555,9 +520,6 @@ class Medium:
         tx = _Transmission(sender, pos, now + duration)
         stats.frames_sent += 1
         stats.bytes_sent += wire_bytes
-        tap = self.boundary_tap
-        if tap is not None:
-            tap(now, pos, payload, wire_bytes, sender.node_id)
         cell = self.grid.cell_of(pos)
         # ``begin_tx`` above makes the half-duplex check skip the sender.
         self._receive(tx, self._cover(cell, config.range_m))
@@ -822,66 +784,3 @@ class Medium:
                 sink = radio.frame_sink
                 if sink is not None:
                     sink(payload, sender_id)
-
-    # ------------------------------------------------------------------
-    # Cross-region injection (sharded runs)
-    # ------------------------------------------------------------------
-    def inject_foreign(
-        self, pos: Vec2, payload: object, wire_bytes: int, sender_id: int
-    ) -> float:
-        """Replay a transmission that physically started in a
-        neighboring region.  Returns its airtime.
-
-        The frame occupies this region's channel (carrier sense,
-        collisions, overhearing RX energy) and delivers to local
-        receivers exactly like :meth:`transmit`, with two differences:
-        there is no local sender to charge or half-duplex (the owning
-        region accounted the TX side when it transmitted the original),
-        and the sender's local replica — same ``node_id``, present when
-        the host migrated here since — neither receives nor counts as
-        asleep.  Every receiver's sink gets the frame.
-        """
-        config = self.config
-        duration = self.airtime(wire_bytes)
-        tx = _Transmission(_FOREIGN_SENDER, pos, self.sim.now + duration)
-        self.stats.frames_foreign += 1
-        cell = self.grid.cell_of(pos)
-        cover = self._cover(cell, config.range_m)
-        home = self._bucket_of.get(sender_id)
-        if home is not None:
-            stand_in = home.without(sender_id)
-            cover = tuple(stand_in if b is home else b for b in cover)
-        self._receive(tx, cover)
-        self._add_active(tx, cell)
-        self.sim.after(
-            duration + config.propagation_delay_s,
-            self._finish_foreign,
-            tx,
-            payload,
-            sender_id,
-        )
-        return duration
-
-    def _finish_foreign(
-        self, tx: _Transmission, payload: object, sender_id: int
-    ) -> None:
-        """Completion twin of :meth:`_finish` for injected frames: no
-        ``end_tx`` (the sender lives elsewhere), receiver teardown via
-        the public ``end_rx``, same corruption/delivery accounting."""
-        self._remove_active(tx)
-        stats = self.stats
-        idle = RadioMode.IDLE
-        for rec in tx.receptions:
-            radio = rec.receiver
-            radio.end_rx()
-            radio.rx_recs.remove(rec)
-            if rec.corrupted:
-                stats.frames_corrupted += 1
-                continue
-            if radio.base_mode is not idle or radio.transmitting:
-                stats.frames_corrupted += 1
-                continue
-            stats.frames_delivered += 1
-            sink = radio.frame_sink
-            if sink is not None:
-                sink(payload, sender_id)

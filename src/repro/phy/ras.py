@@ -68,15 +68,6 @@ class RasChannel:
         self.fault_hook: Optional[
             Callable[[Radio, Optional[Radio], bool], bool]
         ] = None
-        #: Optional boundary hook installed by a sharded-run
-        #: :class:`~repro.shard.region.Region`: called once per page
-        #: with ``(now, pos, kind, target)`` — kind ``"host"`` with a
-        #: node id, or ``"grid"`` with a cell — so pages near a region
-        #: edge reach hosts owned by the neighboring region.  ``None``
-        #: keeps the unsharded paths byte-identical.
-        self.boundary_tap: Optional[
-            Callable[[float, object, str, object], None]
-        ] = None
 
     def attach(self, node_id: int, radio: Radio, handler: PageHandler) -> None:
         """Register a host's RAS receiver."""
@@ -102,9 +93,6 @@ class RasChannel:
                 target=target_id, kind="host",
             )
         self._charge_sender(sender)
-        tap = self.boundary_tap
-        if tap is not None:
-            tap(self.sim.now, sender.position(), "host", target_id)
         target_radio = self._radios.get(target_id)
         if self.fault_hook is not None and self.fault_hook(
             sender, target_radio, False
@@ -133,9 +121,6 @@ class RasChannel:
                 cell=cell, kind="grid",
             )
         self._charge_sender(sender)
-        tap = self.boundary_tap
-        if tap is not None:
-            tap(self.sim.now, sender.position(), "grid", cell)
         if self.fault_hook is not None and self.fault_hook(sender, None, True):
             self.pages_fault_dropped += 1
             return 0
@@ -143,38 +128,6 @@ class RasChannel:
         pos = sender.position()
         for radio in self.medium.radios_near(pos, self.medium.config.range_m):
             if radio is sender or not radio.alive:
-                continue
-            if self.grid.cell_of(radio.position()) != cell:
-                continue
-            handler = self._handlers.get(radio.node_id)
-            if handler is not None:
-                self.sim.after(self._total_delay(), handler, True)
-                fired += 1
-        return fired
-
-    # ------------------------------------------------------------------
-    # Cross-region injection (sharded runs)
-    # ------------------------------------------------------------------
-    def inject_foreign_host(self, pos: object, target_id: int) -> bool:
-        """Replay a host page whose sender lives in a neighboring
-        region.  Range is tested from the original burst position; the
-        sender was charged (and counted) by its own region."""
-        target_radio = self._radios.get(target_id)
-        if target_radio is None or not target_radio.alive:
-            return False
-        if pos.dist(target_radio.position()) > self.medium.config.range_m:
-            return False
-        handler = self._handlers.get(target_id)
-        if handler is None:
-            return False
-        self.sim.after(self._total_delay(), handler, False)
-        return True
-
-    def inject_foreign_grid(self, pos: object, cell: GridCoord) -> int:
-        """Replay a grid broadcast page from a neighboring region."""
-        fired = 0
-        for radio in self.medium.radios_near(pos, self.medium.config.range_m):
-            if not radio.alive:
                 continue
             if self.grid.cell_of(radio.position()) != cell:
                 continue

@@ -51,33 +51,13 @@ class CbrFlow:
             if jitter_first
             else 0.0
         )
-        self._pending = sim.at(max(start_s + offset, sim.now), self._emit)
+        sim.at(max(start_s + offset, sim.now), self._emit)
 
     @property
     def interval(self) -> float:
         return 1.0 / self.rate_pps
 
-    @property
-    def next_emit_at(self) -> Optional[float]:
-        """Absolute time of the next scheduled emission, or ``None`` for
-        a flow that stopped (dead/handed-off source, past ``stop_s``)."""
-        if self._pending is not None and self._pending.active:
-            return self._pending.time
-        return None
-
-    def resume(self, next_at: float, seqno: int, packets_issued: int) -> None:
-        """Restart emission with a shipped cursor (sharded handoff: the
-        source node just became locally owned).  The flow continues the
-        original sequence numbering from ``next_at`` as if it had never
-        left; any locally pending emission is superseded."""
-        self.seqno = seqno
-        self.packets_issued = packets_issued
-        if self._pending is not None:
-            self._pending.cancel()
-        self._pending = self.sim.at(max(next_at, self.sim.now), self._emit)
-
     def _emit(self) -> None:
-        self._pending = None
         if self.stop_s is not None and self.sim.now > self.stop_s:
             return
         if not self.src.alive:
@@ -95,4 +75,4 @@ class CbrFlow:
         if self.log is not None:
             self.log.on_sent(packet)
         self.src.send_data(packet)
-        self._pending = self.sim.after(self.interval, self._emit)
+        self.sim.after(self.interval, self._emit)

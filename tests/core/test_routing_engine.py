@@ -1,10 +1,15 @@
 """GridRoutingMixin internals: search regions, RERR chains, buffers,
 duplicate caches, demotion cleanup."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.base import Role
 from repro.core.messages import Rerr, Rreq
+from repro.core.routing import GridRoutingMixin
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_network
 from repro.geo.region import Rect, whole_map_region
 from repro.net.packet import DataPacket
 from repro.protocols.base import ProtocolParams
@@ -138,6 +143,32 @@ def test_rerr_invalidates_route_hop_by_hop():
     net.sim.run(until=net.sim.now + 1.0)
     # Propagated to the source's gateway (node 0 itself is source + gw).
     assert proto0.routing.lookup(4, net.sim.now) is None
+
+
+# ----------------------------------------------------------------------
+# RREP loop guard
+# ----------------------------------------------------------------------
+def test_rrep_never_travels_more_hops_than_the_grid_has_cells(monkeypatch):
+    """An RREP follows reverse pointers, which can form a cycle between
+    gateways; on this GAF scenario one used to bounce past 600 hops on
+    a 25-cell grid.  No loop-free path visits more cells than exist."""
+    config = replace(
+        ExperimentConfig(protocol="gaf", seed=3).scaled(0.2), sim_time_s=90.0
+    )
+    received = []
+    on_rrep = GridRoutingMixin._on_rrep
+
+    def record(self, rep):
+        received.append(rep.hops)
+        on_rrep(self, rep)
+
+    monkeypatch.setattr(GridRoutingMixin, "_on_rrep", record)
+    net = build_network(config)
+    cells = net.grid.cols * net.grid.rows
+    net.run(until=config.sim_time_s)
+    net.close()
+    assert received
+    assert max(received) <= cells
 
 
 # ----------------------------------------------------------------------

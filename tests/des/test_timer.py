@@ -102,8 +102,8 @@ def test_timer_double_start_rearms_exactly_once():
 def test_timer_mass_cancel_triggers_heap_compaction():
     # A fleet of far-future timers that all get cancelled (every node
     # re-arming its HELLO timeout, then dying) must be swept out of the
-    # calendar once cancelled entries dominate — each shard region owns
-    # a calendar, so leaked entries would multiply per shard.
+    # calendar once cancelled entries dominate, or the dead entries
+    # stay in memory (and in every heap sift) until their far-off time.
     sim = Simulator(seed=1)
     threshold = Simulator.COMPACT_THRESHOLD
     timers = [Timer(sim, lambda: None) for _ in range(threshold - 1)]

@@ -1,10 +1,10 @@
 """A finished run frees its network by reference counting alone.
 
 Every owner that throws a network away (``run_experiment``, the sweep
-runner, both sharded paths) closes it once the result is reduced.  The
-checks run with the cyclic collector disabled: the network, its
-simulator and a node must already be gone when the call returns, and a
-collection afterwards must find no ``repro`` object left in a cycle.
+runner) closes it once the result is reduced.  The checks run with the
+cyclic collector disabled: the network, its simulator and a node must
+already be gone when the call returns, and a collection afterwards must
+find no ``repro`` object left in a cycle.
 This is the completeness check for :meth:`Network.close`: a new
 callback, timer or closure that ties a run into a cycle fails it.
 """
@@ -20,7 +20,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import SweepRunner, SweepSpec
 from repro.faults.plan import standard_fault_plan
 from repro.obs import Tracer
-from repro.shard.runner import run_sharded
 
 PROTOCOLS = ("ecgrid", "grid", "gaf", "aodv", "span", "dsdv", "flooding")
 
@@ -65,8 +64,6 @@ RUNS = {
     "sweep-serial": lambda: SweepRunner(workers=0).run(
         SweepSpec("lifecycle", base=scenario())
     ),
-    "sharded-inprocess": lambda: run_sharded(scenario(), 2, processes=False),
-    "sharded-single": lambda: run_sharded(scenario(), 1),
 }
 
 

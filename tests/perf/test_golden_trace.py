@@ -22,7 +22,13 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.perf.trace import TRACE_SCHEMA, golden_run
+from repro.experiments.runner import build_network
+from repro.perf.trace import (
+    TRACE_SCHEMA,
+    TraceRecorder,
+    golden_run,
+    state_digest,
+)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = json.loads((DATA_DIR / "golden_kernel.json").read_text())
@@ -69,6 +75,32 @@ def test_kernel_reproduces_golden_digests(scenario):
         "end-of-run state diverged from the golden kernel (same "
         "dispatch order, different arithmetic?)"
     )
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    GOLDEN["scenarios"],
+    ids=lambda sc: f"{sc['protocol']}-seed{sc['seed']}",
+)
+def test_sliced_horizon_reproduces_golden_digests(scenario):
+    """``ecgrid watch`` runs the calendar to the horizon in windows.  The
+    heap pops the same (time, priority, seq) order however the horizon
+    is sliced, so the windowed run must match the one-call digests."""
+    config = scenario_config(scenario["protocol"], scenario["seed"])
+    network = build_network(config)
+    network.start()
+    recorder = TraceRecorder()
+    network.sim.instrument(recorder)
+    t = 0.0
+    while t < config.sim_time_s:
+        t = min(t + 1.0, config.sim_time_s)
+        network.sim.run(until=t)
+    network.sim.uninstrument(recorder)
+    network.sampler.sample()
+    assert network.sim.events_executed == scenario["events_executed"]
+    assert recorder.digest() == scenario["trace_sha256"]
+    assert state_digest(network) == scenario["state_sha256"]
+    network.close()
 
 
 def test_fig5_export_byte_identical():
