@@ -27,105 +27,89 @@ Quick start::
     print(result.summary())
 """
 
-from repro.des import Simulator
-from repro.geo import GridMap, Vec2, max_grid_side
-from repro.energy import Battery, EnergyLevel, PAPER_PROFILE, PowerProfile, RadioMode
-from repro.mobility import RandomWaypoint, StaticPosition
-from repro.net import Network, NetworkConfig, Node, DataPacket
-from repro.protocols import ProtocolParams
-from repro.protocols.grid import GridProtocol
-from repro.protocols.gaf import GafParams, GafProtocol
-from repro.protocols.flooding import FloodingProtocol
-from repro.protocols.aodv import AodvParams, AodvProtocol
-from repro.protocols.span import SpanParams, SpanProtocol
-from repro.protocols.dsdv import DsdvParams, DsdvProtocol
-from repro.core import EcGridProtocol
-from repro.faults import (
-    BatteryDrain,
-    FaultPlan,
-    MediumLossWindow,
-    NodeCrash,
-    NodeRecover,
-    PageLoss,
-    Partition,
-    standard_fault_plan,
-)
-# The experiment layer is consumed through its facade — the same
-# surface the CLI and the job server use (see docs/sweeps.md).
-from repro.api import (
-    ExperimentConfig,
-    ExperimentResult,
-    FigureData,
-    ResultCache,
-    SweepRun,
-    SweepRunner,
-    SweepSpec,
-    figure,
-    load_result,
-    run_experiment,
-)
-from repro import api
-from repro.obs import (
-    CounterRegistry,
-    Tracer,
-    audit_report,
-    load_jsonl,
-    standard_auditors,
-)
+import importlib
+from typing import Any
+
+#: Exported name -> the module that defines it.  Each resolves on first
+#: use (PEP 562), so importing one subpackage does not load the rest.
+_EXPORTS = {
+    "Simulator": "repro.des",
+    "GridMap": "repro.geo",
+    "Vec2": "repro.geo",
+    "max_grid_side": "repro.geo",
+    "Battery": "repro.energy",
+    "EnergyLevel": "repro.energy",
+    "PowerProfile": "repro.energy",
+    "PAPER_PROFILE": "repro.energy",
+    "RadioMode": "repro.energy",
+    "RandomWaypoint": "repro.mobility",
+    "StaticPosition": "repro.mobility",
+    "Network": "repro.net",
+    "NetworkConfig": "repro.net",
+    "Node": "repro.net",
+    "DataPacket": "repro.net",
+    "ProtocolParams": "repro.protocols",
+    "EcGridProtocol": "repro.core",
+    "GridProtocol": "repro.protocols.grid",
+    "GafProtocol": "repro.protocols.gaf",
+    "GafParams": "repro.protocols.gaf",
+    "AodvProtocol": "repro.protocols.aodv",
+    "AodvParams": "repro.protocols.aodv",
+    "SpanProtocol": "repro.protocols.span",
+    "SpanParams": "repro.protocols.span",
+    "DsdvProtocol": "repro.protocols.dsdv",
+    "DsdvParams": "repro.protocols.dsdv",
+    "FloodingProtocol": "repro.protocols.flooding",
+    "FaultPlan": "repro.faults",
+    "NodeCrash": "repro.faults",
+    "NodeRecover": "repro.faults",
+    "PageLoss": "repro.faults",
+    "MediumLossWindow": "repro.faults",
+    "Partition": "repro.faults",
+    "BatteryDrain": "repro.faults",
+    "standard_fault_plan": "repro.faults",
+    # The experiment layer is consumed through its facade -- the same
+    # surface the CLI and the job server use (see docs/sweeps.md).
+    "ExperimentConfig": "repro.api",
+    "ExperimentResult": "repro.api",
+    "FigureData": "repro.api",
+    "ResultCache": "repro.api",
+    "SweepRun": "repro.api",
+    "SweepRunner": "repro.api",
+    "SweepSpec": "repro.api",
+    "figure": "repro.api",
+    "load_result": "repro.api",
+    "run_experiment": "repro.api",
+    "CounterRegistry": "repro.obs",
+    "Tracer": "repro.obs",
+    "audit_report": "repro.obs",
+    "load_jsonl": "repro.obs",
+    "standard_auditors": "repro.obs",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Simulator",
-    "GridMap",
-    "Vec2",
-    "max_grid_side",
-    "Battery",
-    "EnergyLevel",
-    "PowerProfile",
-    "PAPER_PROFILE",
-    "RadioMode",
-    "RandomWaypoint",
-    "StaticPosition",
-    "Network",
-    "NetworkConfig",
-    "Node",
-    "DataPacket",
-    "ProtocolParams",
-    "EcGridProtocol",
-    "GridProtocol",
-    "GafProtocol",
-    "GafParams",
-    "AodvProtocol",
-    "AodvParams",
-    "SpanProtocol",
-    "SpanParams",
-    "DsdvProtocol",
-    "DsdvParams",
-    "FloodingProtocol",
-    "FaultPlan",
-    "NodeCrash",
-    "NodeRecover",
-    "PageLoss",
-    "MediumLossWindow",
-    "Partition",
-    "BatteryDrain",
-    "standard_fault_plan",
-    "api",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FigureData",
-    "ResultCache",
-    "SweepRun",
-    "SweepRunner",
-    "SweepSpec",
-    "figure",
-    "load_result",
-    "run_experiment",
-    "CounterRegistry",
-    "Tracer",
-    "audit_report",
-    "load_jsonl",
-    "standard_auditors",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "api", "__version__"]
+
+
+#: Subpackages, which ``repro.<name>`` also reaches without an import.
+_SUBPACKAGES = frozenset({
+    "api", "core", "des", "energy", "experiments", "faults", "geo", "mac",
+    "metrics", "mobility", "net", "obs", "phy", "protocols", "serve",
+    "traffic",
+})
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

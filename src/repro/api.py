@@ -27,18 +27,11 @@ The four verbs:
 
 from __future__ import annotations
 
+import importlib
 import os
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from repro.experiments.adaptive import (
-    DEFAULT_GATE_SCALARS,
-    GATE_SCALARS,
-    AdaptiveRunner,
-    PrecisionReport,
-    ReplicationPolicy,
-    adaptive_sweep,
-)
 from repro.core.election import (
     ELECTION_POLICIES,
     ElectionPolicy,
@@ -61,23 +54,11 @@ from repro.experiments.export import (
     result_to_dict,
     result_to_json,
 )
-from repro.experiments.figures import (
-    FIGURES,
-    NON_ADAPTIVE_FIGURES,
-    FigureData,
-    figure,
-)
-from repro.experiments.report import (
-    format_series_table,
-    format_summary_table,
-    sparkline,
-)
 from repro.experiments.runner import (
     ExperimentResult,
     build_network,
     run_experiment,
 )
-from repro.experiments.snapshot import render as render_snapshot
 from repro.experiments.sweep import (
     AXIS_ALIASES,
     ProgressFn,
@@ -89,10 +70,31 @@ from repro.experiments.sweep import (
     SweepSpec,
     resolve_config,
 )
-from repro.experiments.validate import InvariantChecker, InvariantReport
 from repro.faults.plan import FaultPlan
-from repro.metrics.partition import PartitionReport, partition_quality
 from repro.protocols.base import ProtocolParams
+
+#: The heavier members, each loaded on first use (PEP 562): name ->
+#: (module, name there).  A run or a sweep never touches them.
+_LAZY = {
+    "AdaptiveRunner": ("repro.experiments.adaptive", "AdaptiveRunner"),
+    "DEFAULT_GATE_SCALARS": ("repro.experiments.adaptive", "DEFAULT_GATE_SCALARS"),
+    "GATE_SCALARS": ("repro.experiments.adaptive", "GATE_SCALARS"),
+    "PrecisionReport": ("repro.experiments.adaptive", "PrecisionReport"),
+    "ReplicationPolicy": ("repro.experiments.adaptive", "ReplicationPolicy"),
+    "adaptive_sweep": ("repro.experiments.adaptive", "adaptive_sweep"),
+    "FIGURES": ("repro.experiments.figures", "FIGURES"),
+    "NON_ADAPTIVE_FIGURES": ("repro.experiments.figures", "NON_ADAPTIVE_FIGURES"),
+    "FigureData": ("repro.experiments.figures", "FigureData"),
+    "figure": ("repro.experiments.figures", "figure"),
+    "format_series_table": ("repro.experiments.report", "format_series_table"),
+    "format_summary_table": ("repro.experiments.report", "format_summary_table"),
+    "sparkline": ("repro.experiments.report", "sparkline"),
+    "render_snapshot": ("repro.experiments.snapshot", "render"),
+    "InvariantChecker": ("repro.experiments.validate", "InvariantChecker"),
+    "InvariantReport": ("repro.experiments.validate", "InvariantReport"),
+    "PartitionReport": ("repro.metrics.partition", "PartitionReport"),
+    "partition_quality": ("repro.metrics.partition", "partition_quality"),
+}
 
 __all__ = [
     # verbs
@@ -235,3 +237,17 @@ def load_result(
     if text.lstrip().startswith("{"):
         return result_from_json(text)
     return result_from_json(Path(text).read_text())
+
+
+def __getattr__(name: str) -> Any:
+    entry = _LAZY.get(name)
+    if entry is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = entry
+    value = getattr(importlib.import_module(module), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -25,6 +25,7 @@ import sys
 from repro.api import (
     ELECTION_POLICIES,
     FIGURES,
+    NON_ADAPTIVE_FIGURES,
     PROTOCOLS,
     ExperimentConfig,
     FigureData,
@@ -35,7 +36,17 @@ from repro.api import (
     figure,
     run_experiment,
 )
-from repro.perf import bench as bench_mod
+
+
+def _worker_count(text: str) -> int:
+    """argparse type of a process count: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -50,7 +61,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="replicate over N seeds (seed..seed+N-1) and average curves",
     )
     p.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=_worker_count, default=0,
         help="simulate grid points on N processes (0 = inline serial)",
     )
     p.add_argument(
@@ -180,8 +191,10 @@ def main(argv=None) -> int:
         "bench",
         help="run the pinned kernel benchmark and append to BENCH_kernel.json",
     )
+    # The suite and scenario names are checked once the bench module is
+    # loaded, which only this subcommand does.
     bench_p.add_argument(
-        "--suite", choices=sorted(bench_mod.SUITES), default="kernel",
+        "--suite", default="kernel",
         help="scenario suite: 'kernel' (reference topologies, "
         "BENCH_kernel.json), 'scale' (500/1000/2000-host topologies "
         "at the paper's density, BENCH_scale.json), or 'figures' "
@@ -189,9 +202,7 @@ def main(argv=None) -> int:
         "BENCH_sweep.json)",
     )
     bench_p.add_argument(
-        "--scenario", action="append",
-        choices=sorted(bench_mod.ALL_SCENARIOS)
-        + sorted(bench_mod.FIGURE_SCENARIOS),
+        "--scenario", action="append", metavar="NAME",
         help="pinned scenario to run (repeatable; default: the suite)",
     )
     bench_p.add_argument("--label", default="", help="free-form record label")
@@ -216,9 +227,10 @@ def main(argv=None) -> int:
         "more than 20%%",
     )
 
+    fig_parsers = {}
     for name in FIGURES:
-        fig_p = sub.add_parser(name, help=f"regenerate {name}")
-        _add_common(fig_p)
+        fig_parsers[name] = sub.add_parser(name, help=f"regenerate {name}")
+        _add_common(fig_parsers[name])
 
     serve_p = sub.add_parser(
         "serve",
@@ -232,7 +244,7 @@ def main(argv=None) -> int:
         help="jobs simulating concurrently (executor threads)",
     )
     serve_p.add_argument(
-        "--sweep-workers", type=int, default=0,
+        "--sweep-workers", type=_worker_count, default=0,
         help="process-pool width per sweep/figure job (0 = inline points)",
     )
     serve_p.add_argument(
@@ -384,6 +396,20 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "bench":
+        from repro.perf import bench as bench_mod
+
+        if args.suite not in bench_mod.SUITES:
+            bench_p.error(
+                f"argument --suite: invalid choice: {args.suite!r} "
+                f"(choose from {', '.join(sorted(bench_mod.SUITES))})"
+            )
+        known = set(bench_mod.ALL_SCENARIOS) | set(bench_mod.FIGURE_SCENARIOS)
+        for name in args.scenario or ():
+            if name not in known:
+                bench_p.error(
+                    f"argument --scenario: invalid choice: {name!r} "
+                    f"(choose from {', '.join(sorted(known))})"
+                )
         if args.trace_overhead:
             scenario = (args.scenario or ["scale-500"])[0]
             data = bench_mod.measure_trace_overhead(scenario)
@@ -441,6 +467,11 @@ def main(argv=None) -> int:
             return 1 if regressed else 0
         return 0
 
+    if args.target_ci is not None and args.command in NON_ADAPTIVE_FIGURES:
+        fig_parsers[args.command].error(
+            f"argument --target-ci: {args.command} runs outside the sweep "
+            f"engine and has no adaptive replication; use --seeds N"
+        )
     fig = _figure(args.command, args)
     print(fig.to_text())
     if getattr(args, "csv", None):

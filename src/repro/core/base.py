@@ -16,7 +16,13 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
-from repro.core.election import Candidate, beats, elect, get_policy
+from repro.core.election import (
+    Candidate,
+    ElectionPolicy,
+    beats,
+    elect,
+    get_policy,
+)
 from repro.core.messages import (
     Acq,
     DataEnvelope,
@@ -62,6 +68,26 @@ class GridProtocolBase(RoutingProtocol):
     energy_aware = True
     uses_ras = True
 
+    #: Exact-type message dispatch: ``type(msg) -> (handler name,
+    #: wants_sender_id)``, one table for every instance.  Handlers are
+    #: looked up by name at call time, so subclass overrides and methods
+    #: patched onto a class after its instances exist are both honoured.
+    #: A type not in the table (someone dispatching a message subclass)
+    #: falls back to the isinstance chain in :meth:`on_message`, which
+    #: remains the semantic reference.
+    _dispatch = {
+        Hello: ("_on_hello", False),
+        DataEnvelope: ("_on_envelope", True),
+        Rreq: ("_on_rreq", False),
+        Rrep: ("_on_rrep", False),
+        Rerr: ("_on_rerr", False),
+        Retire: ("_on_retire", False),
+        TablesTransfer: ("_on_tables_transfer", False),
+        Leave: ("_on_leave", False),
+        SleepNotify: ("_on_sleep_notify", False),
+        Acq: ("_on_acq", True),
+    }
+
     def __init__(
         self,
         node: "Node",
@@ -71,9 +97,7 @@ class GridProtocolBase(RoutingProtocol):
         super().__init__(node, params)
         self.counters = counters if counters is not None else Counters()
         self.rng = node.sim.rng.stream(f"proto-{node.id}")
-        #: The gateway-election ranking this run uses (swaps only the
-        #: sort key; the election machinery itself is policy-blind).
-        self.election_policy = get_policy(params.election_policy)
+        get_policy(params.election_policy)  # fail fast on an unknown name
         # Cumulative gateway-tenure bookkeeping (always on: pure local
         # arithmetic, no events or RNG, so the default path stays
         # bit-for-bit).  The load policy advertises it.
@@ -83,7 +107,6 @@ class GridProtocolBase(RoutingProtocol):
         self.role = Role.ACTIVE
         self.my_cell: GridCoord = node.cell()
         self.my_gateway: Optional[int] = None
-        self.my_gateway_level = None
 
         self.routing = RoutingTable()
         self.hosts = HostTable()
@@ -104,25 +127,6 @@ class GridProtocolBase(RoutingProtocol):
         self.watch_timer = Timer(node.sim, self._on_watch_expired)
         self._last_hello_sent = -1e9
         self._retiring = False
-        self._inherited_host_table = False
-
-        #: Exact-type message dispatch: ``type(msg) -> (handler,
-        #: wants_sender_id)``.  Bound here so subclass handler overrides
-        #: are captured; a type not in the table (someone dispatching a
-        #: message subclass) falls back to the isinstance chain in
-        #: :meth:`on_message`, which remains the semantic reference.
-        self._dispatch = {
-            Hello: (self._on_hello, False),
-            DataEnvelope: (self._on_envelope, True),
-            Rreq: (self._on_rreq, False),
-            Rrep: (self._on_rrep, False),
-            Rerr: (self._on_rerr, False),
-            Retire: (self._on_retire, False),
-            TablesTransfer: (self._on_tables_transfer, False),
-            Leave: (self._on_leave, False),
-            SleepNotify: (self._on_sleep_notify, False),
-            Acq: (self._on_acq, True),
-        }
 
     # ------------------------------------------------------------------
     # Convenience
@@ -138,6 +142,12 @@ class GridProtocolBase(RoutingProtocol):
     @property
     def is_gateway(self) -> bool:
         return self.role is Role.GATEWAY
+
+    @property
+    def election_policy(self) -> ElectionPolicy:
+        """The gateway-election ranking this run uses (swaps only the
+        sort key; the election machinery itself is policy-blind)."""
+        return get_policy(self.params.election_policy)
 
     def self_candidate(self) -> Candidate:
         if not self.election_policy.needs_context:
@@ -318,7 +328,6 @@ class GridProtocolBase(RoutingProtocol):
             self._tenure_started = self.now
         self.role = Role.GATEWAY
         self.my_gateway = self.node.id
-        self.my_gateway_level = self.node.energy_level()
         self.watch_timer.cancel()
         if rtab_snapshot:
             self.routing.load_snapshot(
@@ -326,7 +335,7 @@ class GridProtocolBase(RoutingProtocol):
             )
         if htab_snapshot:
             self.hosts.load_snapshot(htab_snapshot)
-        self._inherited_host_table = bool(htab_snapshot)
+        inherited = bool(htab_snapshot)
         # Seed the host table with recently heard grid-mates.
         for cand in self.fresh_peers():
             self.hosts.mark_active(cand.id)
@@ -336,16 +345,18 @@ class GridProtocolBase(RoutingProtocol):
         if tr.gateway:
             tr.emit(
                 "gateway.elect", node=self.node.id, cell=self.my_cell,
-                inherited=self._inherited_host_table,
+                inherited=inherited,
             )
         if not self.hello_timer.running:
             self.hello_timer.start(initial_delay=self.params.hello_period_s)
         # Declare immediately: informs grid members and the neighbors.
         self._send_hello()
-        self._on_became_gateway()
+        self._on_became_gateway(inherited)
 
-    def _on_became_gateway(self) -> None:
-        """Hook for subclasses (ECGRID flushes pending work)."""
+    def _on_became_gateway(self, inherited: bool) -> None:
+        """Hook for subclasses (ECGRID flushes pending work).
+        ``inherited`` says whether a RETIRE or tables transfer handed
+        this gateway its host table."""
 
     def demote_to_active(self) -> None:
         """Stop being the gateway (lost a conflict or retired)."""
@@ -357,7 +368,6 @@ class GridProtocolBase(RoutingProtocol):
             self.role = Role.ACTIVE
             self.hosts.clear()
             self.my_gateway = None
-            self.my_gateway_level = None
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -367,11 +377,11 @@ class GridProtocolBase(RoutingProtocol):
             return
         entry = self._dispatch.get(type(message))
         if entry is not None:
-            fn, wants_sender = entry
+            name, wants_sender = entry
             if wants_sender:
-                fn(message, sender_id)
+                getattr(self, name)(message, sender_id)
             else:
-                fn(message)
+                getattr(self, name)(message)
             return
         if isinstance(message, Hello):
             self._on_hello(message)
@@ -430,7 +440,6 @@ class GridProtocolBase(RoutingProtocol):
 
     def _set_my_gateway(self, h: Hello) -> None:
         self.my_gateway = h.id
-        self.my_gateway_level = h.level
         if self.role is Role.ACTIVE:
             self.watch_timer.start(
                 self.params.hello_period_s * self.params.hello_loss_tolerance
@@ -513,7 +522,6 @@ class GridProtocolBase(RoutingProtocol):
         self.routing.load_snapshot(msg.rtab, self.now, self.params.route_lifetime_s)
         if self.my_gateway == msg.gateway_id:
             self.my_gateway = None
-            self.my_gateway_level = None
         self.cell_peers.pop(msg.gateway_id, None)
         if self.role is Role.ACTIVE:
             self._hello_soon()
@@ -627,7 +635,6 @@ class GridProtocolBase(RoutingProtocol):
         declare ourselves."""
         self.role = Role.ACTIVE
         self.my_gateway = None
-        self.my_gateway_level = None
         self.my_cell = self.node.cell()
         if not self.hello_timer.running:
             self.hello_timer.start(initial_delay=self.params.hello_period_s)

@@ -102,7 +102,6 @@ class EcGridProtocol(GridFamilyProtocol):
             return
         self.counters.inc("gateway_unreachable")
         self.my_gateway = None
-        self.my_gateway_level = None
         self._hello_soon()
         self.watch_timer.start(0.25 * self.params.hello_period_s)
 
@@ -184,7 +183,6 @@ class EcGridProtocol(GridFamilyProtocol):
             # message (which opens an election) should follow.  If it
             # never arrives, the watch declares a no-gateway event.
             self.my_gateway = None
-            self.my_gateway_level = None
             self._hello_soon()
             self.watch_timer.start(self.params.hello_period_s)
         else:
@@ -233,17 +231,17 @@ class EcGridProtocol(GridFamilyProtocol):
         super()._on_gateway_known(first_sighting)
         self._arm_idle()
 
-    def _on_became_gateway(self) -> None:
+    def _on_became_gateway(self, inherited: bool) -> None:
         self.acq_timer.cancel()
         self.idle_timer.cancel()
         self.dwell_timer.cancel()
-        if not self._inherited_host_table:
+        if not inherited:
             # No RETIRE handoff preceded this election (initial round,
             # or recovery from a crashed gateway): census the grid with
             # the broadcast sequence so silent sleepers re-register.
             # Awake members are unaffected; cost is one paging burst.
             self.node.ras.page_grid(self.node.radio, self.my_cell)
-        super()._on_became_gateway()
+        super()._on_became_gateway(inherited)
 
     def _after_demotion(self) -> None:
         self._arm_idle()

@@ -12,7 +12,7 @@ destinations.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Set, Tuple, Union
 
 from repro.core.base import GridProtocolBase, Role
 from repro.core.messages import DataEnvelope, Rerr, Rrep, Rreq
@@ -23,6 +23,10 @@ from repro.net.packet import DataPacket
 
 #: Cap on the remembered (src, rreq_id) duplicate-detection keys.
 _SEEN_RREQ_LIMIT = 8192
+
+#: ``pending_local`` before a host first queues a packet: an empty
+#: deque preallocates a 64-slot block, and few hosts ever queue.
+_NO_PACKETS = ()
 
 
 class _Pending:
@@ -43,6 +47,37 @@ class _Pending:
         self.cooling = False
 
 
+class _Paging:
+    """A gateway's paging state for its sleeping members (§3.3).
+
+    ``buffers`` holds the packets waiting for each paged host,
+    ``attempts`` the paging bursts sent per buffering episode (reset on
+    a successful in-grid delivery) and ``flush_pending`` the hosts with
+    a :meth:`GridRoutingMixin._flush_host_buffer` event in flight.
+    ``epoch`` is bumped on every demotion/death.  Scheduled flush events
+    carry the epoch they were issued under and no-op if it has moved
+    on, so a flush from a previous gateway tenure cannot clear the
+    pending flag (or drain the buffer early) of a paging episode
+    started after re-election.
+    """
+
+    __slots__ = ("buffers", "attempts", "flush_pending", "epoch")
+
+    def __init__(self) -> None:
+        self.buffers: Dict[int, Deque[DataPacket]] = {}
+        self.attempts: Dict[int, int] = {}
+        self.flush_pending: Set[int] = set()
+        self.epoch = 0
+
+    def end_tenure(self) -> None:
+        """Outdate scheduled flushes and forget the episode; the caller
+        has already emptied every buffer."""
+        self.epoch += 1
+        self.buffers.clear()
+        self.attempts.clear()
+        self.flush_pending.clear()
+
+
 class GridRoutingMixin(GridProtocolBase):
     """Routing engine shared by the grid-protocol family."""
 
@@ -57,26 +92,33 @@ class GridRoutingMixin(GridProtocolBase):
     def _init_routing(self) -> None:
         self.seq = 0
         self._rreq_counter = 0
-        self._seen_rreq: Set[Tuple[int, int]] = set()
-        self._seen_rreq_order: Deque[Tuple[int, int]] = deque()
+        #: Recently seen (src, rreq_id) keys, oldest first (the dict's
+        #: insertion order), at most ``_SEEN_RREQ_LIMIT`` of them.
+        self._seen_rreq: Dict[Tuple[int, int], None] = {}
         self.pending: Dict[int, _Pending] = {}
         self.location_cache: Dict[int, GridCoord] = {}
         #: Packets waiting for *any* gateway (we are a gateway-less
-        #: active host, e.g. mid-election).
-        self.pending_local: Deque[DataPacket] = deque()
-        #: Gateway-side buffers for sleeping in-grid destinations.
-        self.host_buffers: Dict[int, Deque[DataPacket]] = {}
-        #: Paging bursts sent per buffering episode (reset on a
-        #: successful in-grid delivery).
-        self._page_attempts: Dict[int, int] = {}
-        #: Destinations with a `_flush_host_buffer` event in flight.
-        self._page_flush_pending: Set[int] = set()
-        #: Bumped on every demotion/death.  Scheduled flush events carry
-        #: the epoch they were issued under and no-op if it has moved
-        #: on, so a flush from a previous gateway tenure cannot clear
-        #: the pending flag (or drain the buffer early) of a paging
-        #: episode started after re-election.
-        self._paging_epoch = 0
+        #: active host, e.g. mid-election); a deque from the first
+        #: queued packet on.
+        self.pending_local: Union[Deque[DataPacket], Tuple[()]] = _NO_PACKETS
+        self._paging = _Paging()
+
+    @property
+    def host_buffers(self) -> Dict[int, Deque[DataPacket]]:
+        """Gateway-side buffers for sleeping in-grid destinations."""
+        return self._paging.buffers
+
+    @property
+    def _page_attempts(self) -> Dict[int, int]:
+        return self._paging.attempts
+
+    @property
+    def _page_flush_pending(self) -> Set[int]:
+        return self._paging.flush_pending
+
+    @property
+    def _paging_epoch(self) -> int:
+        return self._paging.epoch
 
     # ------------------------------------------------------------------
     # Application entry
@@ -116,14 +158,16 @@ class GridRoutingMixin(GridProtocolBase):
         self._queue_local(packet)
         if self.role is Role.ACTIVE:
             self.my_gateway = None
-            self.my_gateway_level = None
             self._hello_soon()
             self.watch_timer.start(0.25 * self.params.hello_period_s)
 
     def _queue_local(self, packet: DataPacket) -> None:
-        if len(self.pending_local) >= self.params.buffer_limit:
-            self._drop(self.pending_local.popleft(), "buffer_overflow")
-        self.pending_local.append(packet)
+        queue = self.pending_local
+        if queue is _NO_PACKETS:
+            queue = self.pending_local = deque()
+        elif len(queue) >= self.params.buffer_limit:
+            self._drop(queue.popleft(), "buffer_overflow")
+        queue.append(packet)
 
     def _drop(self, packet: DataPacket, reason: str) -> None:
         """Discard a data packet, keeping the per-packet delivery
@@ -147,7 +191,7 @@ class GridRoutingMixin(GridProtocolBase):
     def _on_gateway_known(self, first_sighting: bool) -> None:
         self._flush_pending_local()
 
-    def _on_became_gateway(self) -> None:
+    def _on_became_gateway(self, inherited: bool) -> None:
         self._flush_pending_local()
 
     def demote_to_active(self) -> None:
@@ -158,7 +202,6 @@ class GridRoutingMixin(GridProtocolBase):
 
     def _demote_cleanup(self) -> None:
         """Re-inject buffered work so the successor gateway handles it."""
-        self._paging_epoch += 1
         for p in self.pending.values():
             p.timer.cancel()
             while p.queue:
@@ -167,12 +210,9 @@ class GridRoutingMixin(GridProtocolBase):
         for buf in self.host_buffers.values():
             while buf:
                 self._queue_local(buf.popleft())
-        self.host_buffers.clear()
-        self._page_attempts.clear()
-        self._page_flush_pending.clear()
+        self._paging.end_tenure()
 
     def _routing_on_death(self) -> None:
-        self._paging_epoch += 1
         for p in self.pending.values():
             p.timer.cancel()
             while p.queue:
@@ -183,9 +223,7 @@ class GridRoutingMixin(GridProtocolBase):
         for buf in self.host_buffers.values():
             while buf:
                 self._drop(buf.popleft(), "node_died")
-        self.host_buffers.clear()
-        self._page_attempts.clear()
-        self._page_flush_pending.clear()
+        self._paging.end_tenure()
 
     # ------------------------------------------------------------------
     # Gateway forwarding
@@ -500,11 +538,10 @@ class GridRoutingMixin(GridProtocolBase):
         self._send_rreq(p)
 
     def _remember_rreq(self, key: Tuple[int, int]) -> None:
-        self._seen_rreq.add(key)
-        self._seen_rreq_order.append(key)
-        if len(self._seen_rreq_order) > _SEEN_RREQ_LIMIT:
-            old = self._seen_rreq_order.popleft()
-            self._seen_rreq.discard(old)
+        seen = self._seen_rreq
+        seen[key] = None
+        if len(seen) > _SEEN_RREQ_LIMIT:
+            del seen[next(iter(seen))]
 
     # -- message handlers ----------------------------------------------
     def _on_rreq(self, msg: Rreq) -> None:

@@ -29,9 +29,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field, fields, replace
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -44,6 +44,9 @@ from typing import (
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Friendly axis spellings for the most-swept config fields.
 AXIS_ALIASES = {
@@ -265,6 +268,10 @@ class SweepRunner:
     def _acquire_pool(self) -> ProcessPoolExecutor:
         """The live pool, building one if needed (after shutdown too)."""
         if self._pool is None:
+            # Imported here: multiprocessing is a large import that only
+            # pooled sweeps need.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
@@ -388,6 +395,8 @@ class SweepRunner:
         pending: Sequence[SweepPoint],
         outcomes: List[Optional[SweepOutcome]],
     ) -> None:
+        from concurrent.futures import TimeoutError as FuturesTimeout
+
         t0 = time.perf_counter()
         pool = self._acquire_pool()
         clean = True

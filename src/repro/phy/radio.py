@@ -60,17 +60,17 @@ class Radio:
         #: transient TX/RX activity never fires it.
         self.on_base_mode_flip: Optional[Callable[["Radio"], None]] = None
         self._effective = RadioMode.IDLE
-        # Mode -> watts, precomputed: ``_update`` runs for every frame
+        # Watts per mode, precomputed: ``_update`` runs for every frame
         # overheard by every receiver, and the profile is immutable.
-        # The per-mode floats skip the enum-keyed dict (enum __hash__ is
+        # Plain floats skip an enum-keyed dict (enum __hash__ is
         # measurable at half a million draw switches per run).
-        self._power = {mode: profile.total_power(mode) for mode in RadioMode}
-        self._p_tx = self._power[RadioMode.TX]
-        self._p_rx = self._power[RadioMode.RX]
-        self._p_off = self._power[RadioMode.OFF]
-        self._p_idle = self._power[RadioMode.IDLE]
-        # Establish the initial draw.
-        self.monitor.set_draw(self._power[self._effective])
+        self._p_tx = profile.total_power(RadioMode.TX)
+        self._p_rx = profile.total_power(RadioMode.RX)
+        self._p_idle = profile.total_power(RadioMode.IDLE)
+        self._p_sleep = profile.total_power(RadioMode.SLEEP)
+        self._p_off = profile.total_power(RadioMode.OFF)
+        # Establish the initial (idle) draw.
+        self.monitor.set_draw(self._p_idle)
 
     # ------------------------------------------------------------------
     # Queries
@@ -203,7 +203,7 @@ class Radio:
             watts = self._p_rx
         else:
             eff = base
-            watts = self._power[base]
+            watts = self._p_idle if base is RadioMode.IDLE else self._p_sleep
         if eff is self._effective:
             return
         old = self._effective

@@ -152,7 +152,6 @@ class GafProtocol(GridFamilyProtocol):
         self.role = Role.ACTIVE
         self.my_cell = self.node.cell()
         self.my_gateway = None
-        self.my_gateway_level = None
         if not self.hello_timer.running:
             self.hello_timer.start(initial_delay=self.params.hello_period_s)
         self._hello_soon(0.5 * self.gaf.discovery_window_s)

@@ -119,10 +119,12 @@ def test_seen_rreq_cache_is_bounded():
     from repro.core.routing import _SEEN_RREQ_LIMIT
     net = line_net(n=2)
     proto = net.nodes[0].protocol
-    for i in range(_SEEN_RREQ_LIMIT + 100):
-        proto._remember_rreq((12345, i))
-    assert len(proto._seen_rreq) <= _SEEN_RREQ_LIMIT
-    assert len(proto._seen_rreq_order) <= _SEEN_RREQ_LIMIT
+    before = list(proto._seen_rreq)
+    keys = [(12345, i) for i in range(_SEEN_RREQ_LIMIT + 100)]
+    for key in keys:
+        proto._remember_rreq(key)
+    # The newest keys stay, oldest first; the oldest go.
+    assert list(proto._seen_rreq) == (before + keys)[-_SEEN_RREQ_LIMIT:]
 
 
 # ----------------------------------------------------------------------

@@ -54,20 +54,58 @@ def test_clean_import_emits_no_deprecation_warnings():
     assert proc.returncode == 0, proc.stderr
 
 
+#: Modules a facade import plus one run must leave unloaded: numpy (the
+#: kernel is pure Python and declares no runtime dependency), the
+#: process pool (only pooled sweeps build one), and the facade's
+#: heavier members and the protocols a grid run does not use (both
+#: load on first use).
+UNLOADED_BY_A_RUN = (
+    "numpy",
+    "multiprocessing",
+    "concurrent.futures.process",
+    "statistics",
+    "repro.experiments.adaptive",
+    "repro.experiments.figures",
+    "repro.protocols.aodv",
+)
+
+
 def test_import_and_run_leave_numpy_unloaded():
-    # the kernel is pure Python and declares no runtime dependency, so
-    # neither the facade import nor a simulation may pull numpy in
     import subprocess
     import sys
 
     code = (
         "import sys, repro.api as api; "
-        "assert 'numpy' not in sys.modules, 'import loaded numpy'; "
+        f"names = {UNLOADED_BY_A_RUN!r}; "
+        "loaded = [m for m in names if m in sys.modules]; "
+        "assert not loaded, f'import loaded {loaded}'; "
         f"api.run_experiment(api.ExperimentConfig(**{TINY!r})); "
-        "assert 'numpy' not in sys.modules, 'run loaded numpy'"
+        "loaded = [m for m in names if m in sys.modules]; "
+        "assert not loaded, f'run loaded {loaded}'"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
+        capture_output=True, text=True,
+        cwd=str(SRC.parents[1]),
+        env={"PYTHONPATH": str(SRC.parent), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", [
+    "repro.des", "repro.geo", "repro.energy", "repro.mobility",
+    "repro.phy", "repro.mac", "repro.net", "repro.core", "repro.protocols",
+    "repro.protocols.base", "repro.faults", "repro.obs", "repro.metrics",
+    "repro.experiments.runner", "repro.api", "repro.serve.app",
+])
+def test_each_layer_imports_on_its_own(module):
+    # The package root loads nothing eagerly, so an import cycle between
+    # layers shows as soon as one of them is imported first.
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
         capture_output=True, text=True,
         cwd=str(SRC.parents[1]),
         env={"PYTHONPATH": str(SRC.parent), "PATH": "/usr/bin:/bin"},

@@ -33,6 +33,29 @@ def test_rejects_unknown_protocol():
         main(["run", "--protocol", "bogus"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig4", "--workers", "-1"],
+    ["serve", "--sweep-workers", "-1"],
+    ["gateway-tenure", "--target-ci", "0.05"],
+], ids=["workers", "sweep-workers", "target-ci-without-adaptive-mode"])
+def test_bad_input_is_a_usage_error(argv, capsys, monkeypatch):
+    # argparse's exit 2 with the subcommand's usage, before anything
+    # runs -- not a traceback from deep in the sweep or figure layer,
+    # and not a server that fails its first sweep job
+    import repro.serve
+
+    def must_not_start(config):
+        raise AssertionError("the server started")
+
+    monkeypatch.setattr(repro.serve, "serve", must_not_start, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: ecgrid {argv[0]}")
+    assert argv[1] in err
+
+
 def test_watch_subcommand(capsys):
     rc = main(["watch", "--hosts", "8", "--area", "320", "--time", "20",
                "--every", "10", "--seed", "3"])
