@@ -30,6 +30,8 @@ Quick start::
 import importlib
 from typing import Any
 
+from repro._lazy import lazy_exports
+
 #: Exported name -> the module that defines it.  Each resolves on first
 #: use (PEP 562), so importing one subpackage does not load the rest.
 _EXPORTS = {
@@ -100,16 +102,10 @@ _SUBPACKAGES = frozenset({
 })
 
 
+_export, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+
 def __getattr__(name: str) -> Any:
     if name in _SUBPACKAGES:
         return importlib.import_module(f"{__name__}.{name}")
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(__all__))
+    return _export(name)

@@ -43,8 +43,8 @@ seed sequence (the scheduler is a pure function of the simulated
 metrics, which are themselves pure functions of the configs).
 
 See ``docs/sweeps.md`` ("Adaptive replication") for the user-facing
-walkthrough and ``ecgrid bench --suite figures`` for the fixed-grid
-vs adaptive cost comparison recorded in ``BENCH_sweep.json``.
+walkthrough and ``tests/perf/test_adaptive_savings.py`` for the
+fixed-grid vs adaptive cost comparison it gates.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ without adding any plotting dependency to the library.
 Both exporters emit one discriminated, versioned schema — every record
 carries ``"schema"`` (:data:`RESULT_SCHEMA`) and ``"kind"``
 (``"result"`` / ``"figure"``) — shared byte-for-byte with the HTTP
-responses of :mod:`repro.serve` (the version constant lives in
-:mod:`repro.serve.protocol`).  Results round-trip losslessly through
+responses of :mod:`repro.serve`, which imports the version constant
+from here.  Results round-trip losslessly through
 :func:`result_to_dict` / :func:`result_from_dict` — that round-trip is
 what the on-disk sweep cache (:mod:`repro.experiments.cache`) is built
 on.
@@ -24,14 +24,27 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Sequence, Tuple
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.timeseries import TimeSeries
 
-# The schema version lives with the wire protocol: the HTTP API serves
-# these exact records, so file export and server responses share one
-# version stamp (see docs/sweeps.md for the v2 -> v3 migration).
-from repro.serve.protocol import RESULT_SCHEMA
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.figures import FigureData
     from repro.experiments.runner import ExperimentResult
+
+#: Version of the exported result/figure dict layout — shared by the
+#: on-disk cache, CLI ``--json`` export, and HTTP result responses.
+#: Bump on any change to the keys or their meaning; cached results with
+#: a stale schema are treated as misses.
+#:
+#: 2: added per-reason drop accounting (``dropped``, ``drop_reasons``)
+#:    and fault-recovery scalars (``recovery``).
+#: 3: unified result and figure records under one discriminated schema:
+#:    every record now carries ``"kind"`` (``"result"`` / ``"figure"`` /
+#:    ``"sweep"``) next to ``"schema"``, so a reader can dispatch
+#:    without guessing from the key set.  Values are unchanged.
+#:
+#:    Additive (no bump): figure/sweep records produced under adaptive
+#:    replication carry optional ``"ci"`` / ``"precision"`` keys;
+#:    fixed-grid records are byte-identical to plain v3 and readers
+#:    must treat both keys as optional (see docs/sweeps.md).
+RESULT_SCHEMA = 3
 
 __all__ = [
     "RESULT_SCHEMA",

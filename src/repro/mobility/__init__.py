@@ -6,21 +6,22 @@ closed form from the segments — there is no per-timestep position loop
 anywhere in the simulator.
 """
 
-from repro.mobility.base import MobilityModel, Segment, next_cell_crossing
-from repro.mobility.waypoint import RandomWaypoint
-from repro.mobility.direction import RandomDirection
-from repro.mobility.static import StaticPosition
-from repro.mobility.trace import TraceMobility, record_trace
-from repro.mobility.dwell import estimate_dwell_time
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MobilityModel",
-    "Segment",
-    "next_cell_crossing",
-    "RandomWaypoint",
-    "RandomDirection",
-    "StaticPosition",
-    "TraceMobility",
-    "record_trace",
-    "estimate_dwell_time",
-]
+#: Exported name -> the module that defines it, resolved on first use
+#: (PEP 562), so a random-waypoint run loads no other model.
+_EXPORTS = {
+    "MobilityModel": "repro.mobility.base",
+    "Segment": "repro.mobility.base",
+    "next_cell_crossing": "repro.mobility.base",
+    "RandomWaypoint": "repro.mobility.waypoint",
+    "RandomDirection": "repro.mobility.direction",
+    "StaticPosition": "repro.mobility.static",
+    "TraceMobility": "repro.mobility.trace",
+    "record_trace": "repro.mobility.trace",
+    "estimate_dwell_time": "repro.mobility.dwell",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

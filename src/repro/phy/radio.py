@@ -184,11 +184,6 @@ class Radio:
                 if self.on_mode_change is not None:
                     self.on_mode_change(RadioMode.RX, RadioMode.IDLE)
 
-    def deliver(self, payload: object, sender_id: int) -> None:
-        """Hand a successfully received frame to the MAC."""
-        if self.frame_sink is not None:
-            self.frame_sink(payload, sender_id)
-
     # ------------------------------------------------------------------
     def _update(self) -> None:
         base = self.base_mode

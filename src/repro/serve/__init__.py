@@ -3,23 +3,20 @@
 ``ecgrid serve`` exposes the experiment layer behind one stable,
 versioned HTTP surface (see ``docs/serving.md``):
 
-- :mod:`repro.serve.protocol` — typed request/response dataclasses and
-  the shared result/figure export schema (``RESULT_SCHEMA``);
+- :mod:`repro.serve.protocol` — typed request/response dataclasses,
+  stamped with the experiment layer's export schema
+  (``RESULT_SCHEMA``);
 - :mod:`repro.serve.jobs` — the job table (states, per-tenant quotas,
   dedup of identical in-flight cache keys, cache-hit fast path);
 - :mod:`repro.serve.events` — server-sent-events framing plus the
   broker that streams job progress and trace events;
 - :mod:`repro.serve.app` — HTTP routes and server lifecycle.
 
-Exports resolve lazily so that importing ``repro.serve.protocol`` from
-the experiment layer (which shares its schema) never drags the asyncio
-server machinery in.
+Exports resolve lazily, so importing one module of the package (the
+wire protocol, say) does not load the asyncio server machinery.
 """
 
-from __future__ import annotations
-
-import importlib
-from typing import Any
+from repro._lazy import lazy_exports
 
 _EXPORTS = {
     # protocol
@@ -51,15 +48,4 @@ _EXPORTS = {
 
 __all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,4 +1,4 @@
-"""The job server's typed wire protocol — and the one result schema.
+"""The job server's typed wire protocol.
 
 Everything that crosses the HTTP boundary is a dataclass here with an
 explicit ``api_version``, and every dataclass round-trips through
@@ -6,15 +6,15 @@ explicit ``api_version``, and every dataclass round-trips through
 Unknown fields, wrong kinds, and version skew fail loudly with a
 :class:`ProtocolError` carrying the HTTP status to answer with.
 
-This module is also the single home of :data:`RESULT_SCHEMA`, the
-version stamp of result/figure export records.  The CLI's file export
-(:mod:`repro.experiments.export`) and the server's HTTP responses emit
-the *same* records with the same stamp — there is exactly one schema to
-migrate when the layout changes (see ``docs/sweeps.md``).
+The server's HTTP responses are the records the CLI's file export
+(:mod:`repro.experiments.export`) writes, stamped with the same
+:data:`RESULT_SCHEMA`, which is defined there and imported here —
+there is exactly one schema to migrate when the layout changes (see
+``docs/sweeps.md``).
 
-Module-level imports are stdlib-only on purpose: the experiment layer
-imports its schema constant from here, so pulling in the server stack
-(or the experiment stack) at import time would be a cycle.
+The experiment layer is reached only through the :mod:`repro.api`
+facade.  Its figure registry and adaptive policy are imported where a
+payload needs them, since each loads its own module on first use.
 """
 
 from __future__ import annotations
@@ -23,28 +23,18 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.api import (
+    RESULT_SCHEMA,
+    ExperimentConfig,
+    FaultPlan,
+    SweepSpec,
+    result_to_dict,
+)
+
 #: Version of the HTTP API surface (the ``/v1`` path prefix and every
 #: request/response layout in this module).  Bump only on breaking
 #: changes; additive response fields do not bump it.
 API_VERSION = 1
-
-#: Version of the exported result/figure dict layout — shared by the
-#: on-disk cache, CLI ``--json`` export, and HTTP result responses.
-#: Bump on any change to the keys or their meaning; cached results with
-#: a stale schema are treated as misses.
-#:
-#: 2: added per-reason drop accounting (``dropped``, ``drop_reasons``)
-#:    and fault-recovery scalars (``recovery``).
-#: 3: unified result and figure records under one discriminated schema:
-#:    every record now carries ``"kind"`` (``"result"`` / ``"figure"`` /
-#:    ``"sweep"``) next to ``"schema"``, so a reader can dispatch
-#:    without guessing from the key set.  Values are unchanged.
-#:
-#:    Additive (no bump): figure/sweep records produced under adaptive
-#:    replication carry optional ``"ci"`` / ``"precision"`` keys;
-#:    fixed-grid records are byte-identical to plain v3 and readers
-#:    must treat both keys as optional (see docs/sweeps.md).
-RESULT_SCHEMA = 3
 
 #: Submittable job kinds.
 JOB_KINDS = ("run", "sweep", "figure")
@@ -292,12 +282,10 @@ class ErrorView:
 
 
 # ----------------------------------------------------------------------
-# Payload resolution (lazy experiment-layer imports; see module note)
+# Payload resolution
 # ----------------------------------------------------------------------
 def config_from_payload(payload: Mapping[str, Any]) -> Any:
     """An :class:`ExperimentConfig` from a ``run`` payload (validated)."""
-    from repro.api import ExperimentConfig
-
     try:
         config = ExperimentConfig.from_dict(payload)
         config.validate()
@@ -308,8 +296,6 @@ def config_from_payload(payload: Mapping[str, Any]) -> Any:
 
 def spec_from_payload(payload: Mapping[str, Any]) -> Any:
     """A :class:`SweepSpec` from a ``sweep`` payload (validated)."""
-    from repro.api import ExperimentConfig, FaultPlan, SweepSpec
-
     axes = payload.get("axes", {})
     if not isinstance(axes, Mapping) or not all(
         isinstance(v, Sequence) and not isinstance(v, (str, bytes))
@@ -434,8 +420,6 @@ def sweep_envelope(run: Any) -> Dict[str, Any]:
     :class:`~repro.experiments.adaptive.PrecisionReport` dict) —
     additive and conditional, so fixed-grid envelopes are unchanged.
     """
-    from repro.api import result_to_dict
-
     envelope = {
         "schema": RESULT_SCHEMA,
         "kind": "sweep",

@@ -56,9 +56,10 @@ def test_clean_import_emits_no_deprecation_warnings():
 
 #: Modules a facade import plus one run must leave unloaded: numpy (the
 #: kernel is pure Python and declares no runtime dependency), the
-#: process pool (only pooled sweeps build one), and the facade's
-#: heavier members and the protocols a grid run does not use (both
-#: load on first use).
+#: process pool (only pooled sweeps build one), the facade's heavier
+#: members, the protocols a grid run does not use and the package
+#: exports it does not name (all load on first use), and the job
+#: server, which imports the experiment layer, never the reverse.
 UNLOADED_BY_A_RUN = (
     "numpy",
     "multiprocessing",
@@ -67,6 +68,15 @@ UNLOADED_BY_A_RUN = (
     "repro.experiments.adaptive",
     "repro.experiments.figures",
     "repro.protocols.aodv",
+    "repro.obs.audit",
+    "repro.obs.report",
+    "repro.metrics.sniffer",
+    "repro.mobility.trace",
+    "repro.mobility.direction",
+    "repro.mobility.static",
+    "repro.faults.inject",
+    "repro.serve",
+    "repro.serve.protocol",
 )
 
 
@@ -100,12 +110,13 @@ def test_import_and_run_leave_numpy_unloaded():
 ])
 def test_each_layer_imports_on_its_own(module):
     # The package root loads nothing eagerly, so an import cycle between
-    # layers shows as soon as one of them is imported first.
+    # layers shows as soon as one of them is imported first.  A star
+    # import also resolves every name a package loads on first use.
     import subprocess
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "-c", f"import {module}"],
+        [sys.executable, "-c", f"from {module} import *"],
         capture_output=True, text=True,
         cwd=str(SRC.parents[1]),
         env={"PYTHONPATH": str(SRC.parent), "PATH": "/usr/bin:/bin"},

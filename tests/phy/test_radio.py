@@ -90,14 +90,6 @@ def test_energy_integral_over_mode_timeline():
     assert battery.consumed_at(20.0) == pytest.approx(expected, rel=1e-9)
 
 
-def test_deliver_routes_to_frame_sink():
-    _, _, radio = make_radio()
-    got = []
-    radio.frame_sink = lambda payload, sender: got.append((payload, sender))
-    radio.deliver("hello", 42)
-    assert got == [("hello", 42)]
-
-
 def test_mode_change_callback():
     _, _, radio = make_radio()
     changes = []

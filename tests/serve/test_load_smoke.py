@@ -1,23 +1,17 @@
 """Load smoke: N concurrent clients against a cold then warm cache.
 
-Always runs as a correctness test (every client must get a valid,
-schema-versioned result in both phases).  The measured record is
-appended to the repo's ``BENCH_serve.json`` trajectory only when
-``ECGRID_BENCH_SERVE=1`` is set (CI and explicit local runs); plain
-test runs write it to a temp file so the repo stays clean.
+Every client must get a valid, schema-versioned result in both phases,
+and the warm phase must be answered from the cache at submit time.
+Served-job latency is measured by the benchmark's serve-mix workload
+(``python3 bench/run.py --workload serve-mix``).
 """
 
 import asyncio
 import json
-import os
-import platform
 import time
-from pathlib import Path
 
-from repro.perf import bench
 from repro.serve.app import JobServer, ServerConfig
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
 CLIENTS = 4
 
 TINY = {
@@ -65,7 +59,7 @@ async def _phase(port, seeds):
     return time.perf_counter() - t0, views
 
 
-def test_load_smoke_appends_bench_record(tmp_path):
+def test_load_smoke_cold_then_warm_cache(tmp_path):
     async def scenario():
         server = JobServer(ServerConfig(
             port=0,
@@ -89,29 +83,3 @@ def test_load_smoke_appends_bench_record(tmp_path):
     assert not any(v["cache_hit"] for v in cold_views)
     assert all(v["cache_hit"] for v in warm_views)
     assert warm_s < cold_s
-
-    record = {
-        "schema": bench.BENCH_SCHEMA,
-        "label": "serve-load-smoke",
-        "git_rev": bench._git_rev(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu": bench._cpu_model(),
-        "cpu_count": os.cpu_count(),
-        "scenarios": {
-            "serve-load": {
-                "clients": CLIENTS,
-                "cold_s": round(cold_s, 4),
-                "warm_s": round(warm_s, 4),
-                "speedup": round(cold_s / warm_s, 2),
-            }
-        },
-    }
-    if os.environ.get("ECGRID_BENCH_SERVE") == "1":
-        path = REPO_ROOT / "BENCH_serve.json"
-    else:
-        path = tmp_path / "BENCH_serve.json"
-    bench.append_record(record, str(path))
-    records = bench.load_records(str(path))
-    assert records[-1]["scenarios"]["serve-load"]["clients"] == CLIENTS
