@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     run_p.add_argument(
         "--trace-filter", metavar="CATS", default=None,
         help="comma-separated trace categories to record "
-        "(e.g. 'gateway,page'; default: all protocol categories)",
+        "(e.g. 'gateway,page'; default: all)",
     )
     run_p.add_argument(
         "--audit", action="store_true",

@@ -72,9 +72,8 @@ class GridProtocolBase(RoutingProtocol):
     #: wants_sender_id)``, one table for every instance.  Handlers are
     #: looked up by name at call time, so subclass overrides and methods
     #: patched onto a class after its instances exist are both honoured.
-    #: A type not in the table (someone dispatching a message subclass)
-    #: falls back to the isinstance chain in :meth:`on_message`, which
-    #: remains the semantic reference.
+    #: A type not in the table is ignored, so a subclass that sends its
+    #: own message subclass adds it here (GAF's discovery beacon).
     _dispatch = {
         Hello: ("_on_hello", False),
         DataEnvelope: ("_on_envelope", True),
@@ -382,27 +381,6 @@ class GridProtocolBase(RoutingProtocol):
                 getattr(self, name)(message, sender_id)
             else:
                 getattr(self, name)(message)
-            return
-        if isinstance(message, Hello):
-            self._on_hello(message)
-        elif isinstance(message, DataEnvelope):
-            self._on_envelope(message, sender_id)
-        elif isinstance(message, Rreq):
-            self._on_rreq(message)
-        elif isinstance(message, Rrep):
-            self._on_rrep(message)
-        elif isinstance(message, Rerr):
-            self._on_rerr(message)
-        elif isinstance(message, Retire):
-            self._on_retire(message)
-        elif isinstance(message, TablesTransfer):
-            self._on_tables_transfer(message)
-        elif isinstance(message, Leave):
-            self._on_leave(message)
-        elif isinstance(message, SleepNotify):
-            self._on_sleep_notify(message)
-        elif isinstance(message, Acq):
-            self._on_acq(message, sender_id)
 
     # -- HELLO ----------------------------------------------------------
     def _on_hello(self, h: Hello) -> None:

@@ -17,9 +17,6 @@ class RouteEntry:
     seq: int
     expires_at: float
 
-    def fresher_than(self, seq: int) -> bool:
-        return self.seq > seq
-
 
 class RoutingTable:
     """Destination-host -> next-grid mapping with AODV-style freshness.

@@ -190,20 +190,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def step(self) -> bool:
-        """Execute exactly one pending event.  Returns False if none."""
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            event = entry[3]
-            if event.cancelled:
-                continue
-            self.now = entry[0]
-            self._events_executed += 1
-            event.fn(*event.args)
-            return True
-        return False
-
     def stop(self) -> None:
         """Stop a running :meth:`run` after the current event."""
         self._stopped = True

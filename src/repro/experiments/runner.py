@@ -223,9 +223,7 @@ def run_experiment(
 
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) is attached to the
     network before the run; protocol/PHY/MAC events stream into it
-    without perturbing the schedule.  If its ``sim`` category is
-    enabled it additionally rides the event loop as an instrument
-    (per-event dispatch timing).
+    without perturbing the schedule.
     """
     network = build_network(config)
     try:
@@ -239,8 +237,6 @@ def run_experiment(
             tracer = Tracer(categories=("gateway", "fault"), ring=1_000_000)
         if tracer is not None:
             network.attach_tracer(tracer)
-            if tracer.sim:
-                instruments = list(instruments) + [tracer]
         checker = None
         if network.fault_injector is not None:
             # Invariant clean-sample times feed the recovery metrics; the

@@ -197,14 +197,6 @@ class SweepRun:
     def retried(self) -> int:
         return sum(1 for o in self.outcomes if o.retried)
 
-    def by_axes(self, **match: Any) -> List[SweepOutcome]:
-        """Outcomes whose axis coordinates include every given pair."""
-        return [
-            o
-            for o in self.outcomes
-            if all(o.point.axes.get(k) == v for k, v in match.items())
-        ]
-
 
 #: ``progress(done, total, outcome)`` — called in the parent process,
 #: in grid order, after each point completes.

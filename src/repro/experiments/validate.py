@@ -43,10 +43,6 @@ class InvariantReport:
     #: invariant is restored after an injected disruption.
     clean_times: List[float] = field(default_factory=list)
 
-    @property
-    def transient_count(self) -> int:
-        return len(self.violations)
-
     def ok(self) -> bool:
         return not self.persistent_duplicate_cells
 

@@ -71,9 +71,6 @@ class GridMap:
         cx, cy = cell
         return 0 <= cx < self.cols and 0 <= cy < self.rows
 
-    def contains_point(self, pos: Vec2) -> bool:
-        return 0.0 <= pos.x <= self.width and 0.0 <= pos.y <= self.height
-
     def cell_bounds(self, cell: GridCoord) -> Tuple[float, float, float, float]:
         """``(xmin, ymin, xmax, ymax)`` of the cell in world coordinates."""
         cx, cy = cell

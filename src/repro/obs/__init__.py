@@ -20,7 +20,6 @@ _EXPORTS = {
     "no_gateway_intervals": "repro.obs.report",
     "percentiles": "repro.obs.report",
     "CATEGORIES": "repro.obs.trace",
-    "DEFAULT_CATEGORIES": "repro.obs.trace",
     "NULL_TRACER": "repro.obs.trace",
     "TRACE_JSONL_SCHEMA": "repro.obs.trace",
     "NullTracer": "repro.obs.trace",

@@ -44,17 +44,14 @@ TRACE_JSONL_SCHEMA = 1
 #: - ``packet``: end-to-end packet accounting (sent/delivered/dropped)
 #: - ``radio``: physical transmissions (for the sleep-safety auditor)
 #: - ``fault``: injected fault activations
-#: - ``sim``: kernel dispatch statistics (counters only, no event
-#:   stream; enabling it attaches the tracer as a dispatch instrument,
-#:   which times every callback and costs wall time)
+#:
+#: A tracer records every category unless told otherwise.  Kernel
+#: dispatch counts and timings come from ``ecgrid run --profile``
+#: (:class:`repro.perf.profile.KernelProfiler`), not from a category.
 CATEGORIES = (
     "gateway", "page", "rreq", "cell", "drop", "packet", "radio",
-    "fault", "sim",
+    "fault",
 )
-
-#: Categories enabled by default: everything except ``sim`` (dispatch
-#: stats time every callback and are opt-in).
-DEFAULT_CATEGORIES = tuple(c for c in CATEGORIES if c != "sim")
 
 
 class TraceEvent:
@@ -134,7 +131,7 @@ class NullTracer:
     boolean test per guarded site."""
 
     active = False
-    gateway = page = rreq = cell = drop = packet = radio = fault = sim = False
+    gateway = page = rreq = cell = drop = packet = radio = fault = False
 
     def emit(self, name: str, node: Optional[int] = None,
              t: Optional[float] = None, **fields: Any) -> None:
@@ -158,39 +155,28 @@ class Tracer:
     """Collects :class:`TraceEvent` streams, one ring buffer per
     category.
 
-    ``categories`` selects which categories record (default: all but
-    ``sim``); ``ring`` bounds each stream's length (oldest events are
-    evicted, counted in :attr:`evicted`).  Per-category boolean
-    attributes (``tracer.gateway`` ...) are the emission guards hot
-    call sites test.
-
-    A tracer also satisfies the DES instrument protocol
-    (:meth:`on_dispatch`): attaching it to the event loop — done by the
-    harness only when the ``sim`` category is enabled — accumulates
-    kernel dispatch statistics into :attr:`registry`.
+    ``categories`` selects which categories record (default: all);
+    ``ring`` bounds each stream's length (oldest events are evicted,
+    counted in :attr:`evicted`).  Per-category boolean attributes
+    (``tracer.gateway`` ...) are the emission guards hot call sites
+    test.
     """
 
     def __init__(
         self,
         categories: Optional[Sequence[str]] = None,
         ring: int = 65536,
-        registry: Optional[Any] = None,
     ) -> None:
         if categories is None:
-            categories = DEFAULT_CATEGORIES
+            categories = CATEGORIES
         unknown = set(categories) - set(CATEGORIES)
         if unknown:
             raise ValueError(
                 f"unknown trace categories {sorted(unknown)}; "
                 f"choose from {CATEGORIES}"
             )
-        if registry is None:
-            from repro.obs.counters import CounterRegistry
-
-            registry = CounterRegistry()
         self.active = True
         self.ring = ring
-        self.registry = registry
         self.evicted: Dict[str, int] = {c: 0 for c in CATEGORIES}
         self._streams: Dict[str, deque] = {
             c: deque(maxlen=ring) for c in CATEGORIES
@@ -300,15 +286,6 @@ class Tracer:
             for event in events:
                 fh.write(json.dumps(event.to_dict()) + "\n")
         return len(events)
-
-    # ------------------------------------------------------------------
-    # DES instrument protocol (only wired when ``sim`` is enabled)
-    # ------------------------------------------------------------------
-    def on_dispatch(self, event: Any, elapsed: float, queue_len: int) -> None:
-        reg = self.registry
-        reg.inc("sim.events")
-        reg.observe("sim.dispatch_s", elapsed)
-        reg.set_gauge("sim.queue_len", queue_len)
 
 
 def load_jsonl(path: str) -> Tuple[Dict[str, Any], List[TraceEvent]]:

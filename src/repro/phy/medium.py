@@ -4,7 +4,7 @@ Unit-disk propagation over a grid-bucket spatial index: every awake,
 non-transmitting radio within ``range_m`` of a transmitter receives the
 frame (and pays RX energy for its airtime — overhearing).  Two frames
 overlapping in time at a common receiver collide and both are lost at
-that receiver, unless collisions are disabled in the config.
+that receiver.
 
 Design notes
 ------------
@@ -38,19 +38,12 @@ class MediumConfig:
     bandwidth_bps: float = 2_000_000.0
     range_m: float = 250.0
     propagation_delay_s: float = 1e-6
-    model_collisions: bool = True
-    #: Carrier-sense range; None means equal to ``range_m``.
-    sense_range_m: Optional[float] = None
     #: Link model: "unit_disk" (default; reception certain within range)
     #: or "gray_zone" — reception certain up to ``gray_zone_start_frac``
     #: of the range, then decaying linearly to zero at the range edge
     #: (the lossy fringe real 802.11 measurements show).
     loss_model: str = "unit_disk"
     gray_zone_start_frac: float = 0.75
-
-    @property
-    def sense_range(self) -> float:
-        return self.range_m if self.sense_range_m is None else self.sense_range_m
 
     def reception_probability(self, distance: float) -> float:
         """P(frame decodes) at ``distance`` under the configured model."""
@@ -75,7 +68,6 @@ class _Reception:
 class _Transmission:
     __slots__ = (
         "sender", "pos", "px", "py", "end_time", "receptions", "index",
-        "cell", "cell_index",
     )
 
     def __init__(self, sender: Radio, pos: Vec2, end_time: float) -> None:
@@ -92,10 +84,6 @@ class _Transmission:
         #: removal; carrier sense only ever reduces the list to a
         #: boolean, so the order perturbation is observable nowhere).
         self.index = -1
-        #: Grid cell of ``pos`` and slot in that cell's entry of
-        #: ``Medium._active_by_cell`` (same swap-pop scheme as ``index``).
-        self.cell: Optional[GridCoord] = None
-        self.cell_index = -1
 
 
 #: A bucket's view for the receiver loops:
@@ -153,31 +141,19 @@ class MediumStats:
 class Medium:
     """The one shared channel all radios attach to.
 
-    Scaling structures (see ``docs/performance.md``, "Scaling"):
-
-    - **per-cell buckets kept current in place**: every in-map cell
-      owns one :class:`_Bucket` for the medium's lifetime.
-      ``register`` / ``unregister`` / ``update_cell`` and the radios'
-      ``on_base_mode_flip`` hook rebuild only the bucket they touch, so
-      each bucket's awake/sleeper partition always matches its radios'
-      live base modes.  Each ``(center cell, radius)`` maps to the
-      tuple of its covering buckets, built on first use and never
-      invalidated (the buckets themselves stay current).
-      ``transmit`` and ``radios_near`` walk that tuple, classify whole
-      cells against the disk and per-point-test only the straddlers;
-    - a **cell-indexed active-transmission set** (``_active_by_cell``)
-      so carrier sense probes only the sense-range cell neighborhood
-      instead of every in-flight transmission.
+    Its scaling structure (see ``docs/performance.md``, "Scaling") is
+    **per-cell buckets kept current in place**: every in-map cell owns
+    one :class:`_Bucket` for the medium's lifetime.  ``register`` /
+    ``unregister`` / ``update_cell`` and the radios'
+    ``on_base_mode_flip`` hook rebuild only the bucket they touch, so
+    each bucket's awake/sleeper partition always matches its radios'
+    live base modes.  Each ``(center cell, radius)`` maps to the tuple
+    of its covering buckets, built on first use and never invalidated
+    (the buckets themselves stay current).  ``transmit`` and
+    ``radios_near`` walk that tuple, classify whole cells against the
+    disk and per-point-test only the straddlers.  Carrier sense is one
+    scan of the in-flight list.
     """
-
-    #: ``channel_busy`` falls back to the plain active-list scan when
-    #: fewer transmissions than this are in flight.  The probe costs a
-    #: fixed ~37 cell lookups while the scan costs one multiply-compare
-    #: per in-flight transmission *and* exits early on the first audible
-    #: one (the common case in a busy neighborhood), so the crossover
-    #: sits far above the cell count — measured neutral-to-negative
-    #: below ~48 in flight, a regime even 1000-node storms rarely leave.
-    TX_SCAN_CUTOFF = 48
 
     def __init__(
         self, sim: Simulator, grid: GridMap, config: Optional[MediumConfig] = None
@@ -213,9 +189,6 @@ class Medium:
         #: Pruned covering offsets memoized per query radius (the
         #: default radius keeps its precomputed ``_ring_offsets``).
         self._radius_offsets: Dict[float, Tuple[GridCoord, ...]] = {}
-        #: Cell -> in-flight transmissions that started there (swap-pop
-        #: lists; empty lists are kept to avoid realloc churn).
-        self._active_by_cell: Dict[GridCoord, List[_Transmission]] = {}
         self._loss_rng = sim.rng.stream("phy-loss")
         #: Optional fault-injection hook ``(tx_pos, receiver) -> bool``;
         #: True means the reception is lost (the receiver still pays RX
@@ -415,17 +388,8 @@ class Medium:
         return out
 
     def channel_busy(self, radio: Radio) -> bool:
-        """Carrier sense: is any in-flight transmission audible here?
-
-        With enough transmissions in flight, only the sense-range cell
-        neighborhood of the radio's cell is probed; a transmission
-        outside those cells is provably out of sense range (the pruned
-        covering offsets over-approximate the sense disk), and the
-        radio's *own* transmission — the other way the scan can report
-        busy — is at distance ~0 and therefore always inside the probed
-        neighborhood.  Below the cutoff the plain list scan is cheaper
-        and gives the same answer.
-        """
+        """Carrier sense: is any in-flight transmission within
+        ``range_m`` of this radio, or is the radio itself sending?"""
         active = self._active
         if not active:
             return False
@@ -454,35 +418,7 @@ class Medium:
             p = radio.position()
             px = p[0]
             py = p[1]
-        sense = self.config.sense_range
-        sense2 = sense * sense
-        if len(active) > self.TX_SCAN_CUTOFF:
-            by_cell = self._active_by_cell
-            grid = self.grid
-            side = grid.cell_side
-            # Inlined ``GridMap.cell_of`` (edge clamping included).
-            cx = int(px // side)
-            cy = int(py // side)
-            if cx >= grid.cols:
-                cx = grid.cols - 1
-            elif cx < 0:
-                cx = 0
-            if cy >= grid.rows:
-                cy = grid.rows - 1
-            elif cy < 0:
-                cy = 0
-            for dx, dy in self._offsets_near(sense):
-                txs = by_cell.get((cx + dx, cy + dy))
-                if not txs:
-                    continue
-                for tx in txs:
-                    if tx.sender is radio:
-                        return True
-                    ddx = tx.px - px
-                    ddy = tx.py - py
-                    if ddx * ddx + ddy * ddy <= sense2:
-                        return True
-            return False
+        sense2 = self.config.range_m * self.config.range_m
         for tx in active:
             if tx.sender is radio:
                 return True
@@ -520,10 +456,9 @@ class Medium:
         tx = _Transmission(sender, pos, now + duration)
         stats.frames_sent += 1
         stats.bytes_sent += wire_bytes
-        cell = self.grid.cell_of(pos)
         # ``begin_tx`` above makes the half-duplex check skip the sender.
-        self._receive(tx, self._cover(cell, config.range_m))
-        self._add_active(tx, cell)
+        self._receive(tx, self._cover(self.grid.cell_of(pos), config.range_m))
+        self._add_active(tx)
         self.sim.after(
             duration + config.propagation_delay_s,
             self._finish,
@@ -538,17 +473,15 @@ class Medium:
 
         Walks ``cover``'s awake/sleeper partitions: sleepers feed only
         the (order-independent) missed-asleep counter, and awake
-        candidates need just the half-duplex check before the inlined
-        ``Radio.begin_rx`` (base IDLE is guaranteed by the partition,
-        so the mode-change condition reduces to ``_effective is not
-        RX``, exactly as ``begin_rx`` resolves it).  Receptions are
-        appended to ``tx.receptions`` in cover order, then bucket
-        insertion order.
+        candidates need just the half-duplex check before the reception
+        begins (base IDLE is guaranteed by the partition, so the radio
+        flips to RX unless it already is, which is what
+        ``Radio._update`` would resolve).  Receptions are appended to
+        ``tx.receptions`` in cover order, then bucket insertion order.
         """
         config = self.config
         stats = self.stats
         unit_disk = config.loss_model == "unit_disk"
-        model_collisions = config.model_collisions
         fault_hook = self.fault_hook
         rx_mode = RadioMode.RX
         now = self.sim.now
@@ -654,12 +587,12 @@ class Medium:
                         # (pays RX) but the frame does not decode.
                         rec.corrupted = True
                 ongoing = radio.rx_recs
-                if ongoing and model_collisions:
+                if ongoing:
                     rec.corrupted = True
                     for other in ongoing:
                         other.corrupted = True
                 ongoing.append(rec)
-                # Inlined ``begin_rx`` (base is IDLE, not transmitting —
+                # Begin the reception (base is IDLE, not transmitting —
                 # established above) with ``BatteryMonitor.set_draw``
                 # flattened in: one radio mode flip per receiver per
                 # frame makes this the hottest call chain of a run, and
@@ -696,29 +629,17 @@ class Medium:
                         cb(old, rx_mode)
                 receptions_append(rec)
 
-    def _add_active(self, tx: _Transmission, cell: GridCoord) -> None:
-        """Append to the in-flight list and the cell index."""
+    def _add_active(self, tx: _Transmission) -> None:
         tx.index = len(self._active)
         self._active.append(tx)
-        tx.cell = cell
-        txs = self._active_by_cell.get(cell)
-        if txs is None:
-            txs = self._active_by_cell[cell] = []
-        tx.cell_index = len(txs)
-        txs.append(tx)
 
     def _remove_active(self, tx: _Transmission) -> None:
-        """O(1) swap-pop removal from the in-flight list and cell index."""
+        """O(1) swap-pop removal from the in-flight list."""
         active = self._active
         last = active.pop()
         if last is not tx:
             active[tx.index] = last
             last.index = tx.index
-        txs = self._active_by_cell[tx.cell]
-        tail = txs.pop()
-        if tail is not tx:
-            txs[tx.cell_index] = tail
-            tail.cell_index = tx.cell_index
 
     def _finish(
         self, tx: _Transmission, payload: object, dst: Optional[int]
@@ -732,10 +653,11 @@ class Medium:
         now = self.sim.now
         for rec in tx.receptions:
             radio = rec.receiver
-            # Inlined ``end_rx`` (identical branch structure): dropping
-            # the last reception of an RX-mode radio returns it to IDLE;
-            # every other state is unchanged.  ``set_draw`` is flattened
-            # in as in ``_receive``.
+            # End the reception: dropping the last reception of an
+            # RX-mode radio returns it to IDLE (an RX effective mode
+            # implies base IDLE and not transmitting); every other state
+            # is unchanged.  ``set_draw`` is flattened in as in
+            # ``_receive``.
             count = radio.rx_count
             if count > 0:
                 radio.rx_count = count - 1
@@ -771,9 +693,11 @@ class Medium:
             if rec.corrupted:
                 stats.frames_corrupted += 1
                 continue
-            # Half-duplex / mid-frame sleep: a receiver that started
-            # transmitting or went to sleep during the frame loses it
-            # (inlined ``can_receive``).
+            # A receiver asleep or transmitting when the frame ends
+            # loses it.  Only that instant is checked: a receiver that
+            # sent a frame (a MAC ACK skips carrier sense) or slept and
+            # woke while this one was on the air still decodes it,
+            # which a half-duplex radio could not.
             if radio.base_mode is not idle or radio.transmitting:
                 stats.frames_corrupted += 1
                 continue

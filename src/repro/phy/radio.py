@@ -47,10 +47,12 @@ class Radio:
         self.monitor = monitor
         self.base_mode = RadioMode.IDLE
         self.transmitting = False
+        #: Frames being received now.  This count and ``rx_recs`` are
+        #: kept by :class:`~repro.phy.medium.Medium`, whose receiver
+        #: loops also make the IDLE <-> RX flips inline.
         self.rx_count = 0
         #: The medium's in-flight receptions at this radio (a second
-        #: overlapping frame corrupts them all when collisions are
-        #: modelled).  Owned by :class:`~repro.phy.medium.Medium`.
+        #: overlapping frame corrupts them all).
         self.rx_recs: List[object] = []
         self.frame_sink: Optional[FrameSink] = None
         self.on_mode_change: Optional[Callable[[RadioMode, RadioMode], None]] = None
@@ -89,11 +91,6 @@ class Radio:
     def alive(self) -> bool:
         return self.base_mode is not RadioMode.OFF
 
-    @property
-    def can_receive(self) -> bool:
-        """Half-duplex: an awake radio receives only while not sending."""
-        return self.awake and not self.transmitting
-
     def position(self):
         """Current world position (delegates to the node's mobility)."""
         return self.position_fn()
@@ -106,8 +103,8 @@ class Radio:
         if self.base_mode is RadioMode.OFF:
             return
         self.base_mode = RadioMode.SLEEP
-        # Any in-flight receptions are lost; the medium notices via
-        # ``can_receive`` at delivery time.
+        # Any in-flight receptions are lost; the medium checks the base
+        # mode when each frame ends.
         self.rx_count = 0
         self._update()
         if self.on_base_mode_flip is not None:
@@ -152,37 +149,6 @@ class Radio:
     def end_tx(self) -> None:
         self.transmitting = False
         self._update()
-
-    def begin_rx(self) -> None:
-        # Specialized ``_update``: these two run once per receiver per
-        # frame.  Only an idle, non-transmitting radio can change mode
-        # here (TX / SLEEP / OFF all dominate RX activity), exactly as
-        # the general dispatch in ``_update`` resolves it.
-        self.rx_count += 1
-        if (
-            self.base_mode is RadioMode.IDLE
-            and not self.transmitting
-            and self._effective is not RadioMode.RX
-        ):
-            old = self._effective
-            self._effective = RadioMode.RX
-            self.monitor.set_draw(self._p_rx)
-            if self.on_mode_change is not None:
-                self.on_mode_change(old, RadioMode.RX)
-
-    def end_rx(self) -> None:
-        count = self.rx_count
-        if count > 0:
-            self.rx_count = count - 1
-            # An RX effective mode implies base IDLE and not
-            # transmitting, so dropping the last reception returns the
-            # radio to IDLE; every other state is unchanged by the
-            # general dispatch.
-            if count == 1 and self._effective is RadioMode.RX:
-                self._effective = RadioMode.IDLE
-                self.monitor.set_draw(self._p_idle)
-                if self.on_mode_change is not None:
-                    self.on_mode_change(RadioMode.RX, RadioMode.IDLE)
 
     # ------------------------------------------------------------------
     def _update(self) -> None:

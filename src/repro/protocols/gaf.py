@@ -92,6 +92,11 @@ class GafProtocol(GridFamilyProtocol):
     uses_ras = False
     page_sleeping_hosts = False   # GAF's defining limitation
 
+    _dispatch = {
+        **GridFamilyProtocol._dispatch,
+        GafDiscovery: ("_on_hello", False),
+    }
+
     def __init__(
         self,
         node,

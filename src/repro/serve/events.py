@@ -217,9 +217,9 @@ class TraceRelay:
         categories: Optional[Sequence[str]] = None,
     ) -> None:
         if categories is None:
-            from repro.obs.trace import DEFAULT_CATEGORIES
+            from repro.obs.trace import CATEGORIES
 
-            categories = DEFAULT_CATEGORIES
+            categories = CATEGORIES
         self.broker = broker
         self.job_id = job_id
         self.categories = tuple(categories)

@@ -30,6 +30,7 @@ from repro.api import (
     SweepSpec,
     result_to_dict,
 )
+from repro.obs.trace import CATEGORIES
 
 #: Version of the HTTP API surface (the ``/v1`` path prefix and every
 #: request/response layout in this module).  Bump only on breaking
@@ -88,7 +89,8 @@ class SubmitRequest:
 
     ``trace=True`` (``run`` jobs only) attaches a tracer and streams
     its events over the job's SSE channel; ``trace_filter`` narrows the
-    recorded categories.
+    recorded categories to names from
+    :data:`~repro.obs.trace.CATEGORIES`.
     """
 
     kind: str
@@ -116,6 +118,12 @@ class SubmitRequest:
             )
         if not self.tenant or not isinstance(self.tenant, str):
             raise ProtocolError("tenant must be a non-empty string")
+        unknown = [c for c in self.trace_filter or () if c not in CATEGORIES]
+        if unknown:
+            raise ProtocolError(
+                f"unknown trace categories {unknown}; "
+                f"choose from {list(CATEGORIES)}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -66,3 +66,27 @@ def test_describe_helpers():
     assert "RETIRE" in Retire(cell=(1, 1), gateway_id=3).describe()
     assert "RREP" in Rrep(src=1, dst=2).describe()
     assert "ENV" in DataEnvelope(packet=DataPacket(src=1, dst=2)).describe()
+
+
+def test_every_message_type_has_a_dispatch_entry():
+    """Dispatch is by exact type with no fallback: a message class
+    missing from a protocol's table would be dropped silently."""
+    import inspect
+
+    from repro.core import messages
+    from repro.core.base import GridProtocolBase
+    from repro.core.protocol import EcGridProtocol
+    from repro.net.packet import Message
+    from repro.protocols.gaf import GafDiscovery, GafProtocol
+    from repro.protocols.grid import GridProtocol
+
+    defined = {
+        cls for _, cls in inspect.getmembers(messages, inspect.isclass)
+        if issubclass(cls, Message) and cls.__module__ == messages.__name__
+    }
+    assert Hello in defined and DataEnvelope in defined
+    assert defined <= set(GridProtocolBase._dispatch)
+    assert GafDiscovery in GafProtocol._dispatch
+    for proto in (GridProtocol, EcGridProtocol, GafProtocol):
+        for name, _ in proto._dispatch.values():
+            assert callable(getattr(proto, name)), (proto.__name__, name)

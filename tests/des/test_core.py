@@ -157,17 +157,6 @@ def test_stop_halts_run():
     assert fired == [1, 3]
 
 
-def test_step_executes_single_event():
-    sim = Simulator()
-    fired = []
-    sim.at(1.0, fired.append, 1)
-    sim.at(2.0, fired.append, 2)
-    assert sim.step() is True
-    assert fired == [1]
-    assert sim.step() is True
-    assert sim.step() is False
-
-
 def test_events_executed_counter():
     sim = Simulator()
     for i in range(5):

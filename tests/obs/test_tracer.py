@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs.trace import (
     CATEGORIES,
-    DEFAULT_CATEGORIES,
     NULL_TRACER,
     TRACE_JSONL_SCHEMA,
     NullTracer,
@@ -68,12 +67,6 @@ def test_unknown_categories_fail_loudly():
     tr = Tracer()
     with pytest.raises(ValueError, match="no known category"):
         tr.emit("nonsense.event")
-
-
-def test_sim_category_is_opt_in():
-    assert "sim" in CATEGORIES
-    assert "sim" not in DEFAULT_CATEGORIES
-    assert not Tracer().sim
 
 
 def test_ring_eviction_counts_and_keeps_the_newest():

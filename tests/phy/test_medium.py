@@ -144,15 +144,6 @@ def test_collision_corrupts_both_frames():
     assert medium.stats.frames_corrupted == 2
 
 
-def test_collision_modeling_can_be_disabled():
-    sim, medium, (a, b, c) = build(HIDDEN, model_collisions=False)
-    inbox = attach_inbox(c)
-    medium.transmit(a, "from-a", 1000)
-    medium.transmit(b, "from-b", 1000)
-    sim.run(until=1.0)
-    assert sorted(p for p, _ in inbox) == ["from-a", "from-b"]
-
-
 def test_non_overlapping_frames_both_delivered():
     sim, medium, (a, b, c) = build(HIDDEN)
     inbox = attach_inbox(c)

@@ -8,6 +8,7 @@ from repro.energy.battery import Battery
 from repro.energy.profile import PAPER_PROFILE, RadioMode
 from repro.geo.vector import Vec2
 from repro.phy.radio import Radio
+from tests.phy.test_medium import HIDDEN, attach_inbox, build
 
 
 def make_radio(capacity=500.0):
@@ -25,37 +26,62 @@ def test_initial_mode_is_idle():
     assert battery.draw_w == pytest.approx(0.863)
 
 
+# Receptions are driven through ``Medium.transmit``: the medium's
+# receiver loops make a radio's RX transitions in every run.
 def test_tx_overrides_everything():
-    _, battery, radio = make_radio()
-    radio.begin_tx()
-    assert radio.mode is RadioMode.TX
+    # b starts sending inside a's frame: TX wins over the reception,
+    # which resumes RX once b's shorter frame is off the air.
+    sim, medium, (a, b) = build([(100, 100), (200, 100)])
+    battery = b.monitor.battery
+    medium.transmit(a, "long", 1000)
+    assert b.mode is RadioMode.RX
+    assert battery.draw_w == pytest.approx(1.033)
+    sim.at(0.001, medium.transmit, b, "short", 100)
+    sim.run(until=0.0012)
+    assert b.mode is RadioMode.TX  # half duplex: tx wins
     assert battery.draw_w == pytest.approx(1.433)
-    radio.begin_rx()
-    assert radio.mode is RadioMode.TX  # half duplex: tx wins
-    radio.end_tx()
-    assert radio.mode is RadioMode.RX
-    radio.end_rx()
-    assert radio.mode is RadioMode.IDLE
+    sim.run(until=0.003)
+    assert b.mode is RadioMode.RX  # a's frame is still on the air
+    assert battery.draw_w == pytest.approx(1.033)
+    sim.run(until=1.0)
+    assert b.mode is RadioMode.IDLE
+    assert battery.draw_w == pytest.approx(0.863)
 
 
 def test_rx_counting_supports_overlap():
-    _, battery, radio = make_radio()
-    radio.begin_rx()
-    radio.begin_rx()
-    assert radio.mode is RadioMode.RX
-    radio.end_rx()
-    assert radio.mode is RadioMode.RX  # still one reception in flight
-    radio.end_rx()
-    assert radio.mode is RadioMode.IDLE
+    sim, medium, (a, b, c) = build(HIDDEN)
+    inbox = attach_inbox(c)
+    battery = c.monitor.battery
+    medium.transmit(a, "long", 1000)
+    sim.at(0.001, medium.transmit, b, "short", 250)
+    sim.run(until=0.0015)
+    assert c.mode is RadioMode.RX
+    assert battery.draw_w == pytest.approx(1.033)
+    sim.run(until=0.0025)  # b's frame has ended, a's has not
+    assert c.mode is RadioMode.RX  # still one reception in flight
+    assert battery.draw_w == pytest.approx(1.033)
+    sim.run(until=1.0)
+    assert c.mode is RadioMode.IDLE
+    assert battery.draw_w == pytest.approx(0.863)
+    assert inbox == []  # the overlap corrupted both
+    assert medium.stats.frames_corrupted == 2
 
 
 def test_sleep_clears_receptions_and_draws_sleep_power():
-    _, battery, radio = make_radio()
-    radio.begin_rx()
-    radio.sleep()
-    assert radio.mode is RadioMode.SLEEP
-    assert not radio.awake
-    assert not radio.can_receive
+    sim, medium, (a, b) = build([(100, 100), (200, 100)])
+    inbox = attach_inbox(b)
+    battery = b.monitor.battery
+    medium.transmit(a, "msg", 1000)
+    assert b.mode is RadioMode.RX
+    sim.at(0.001, b.sleep)
+    sim.run(until=0.002)
+    assert b.mode is RadioMode.SLEEP
+    assert not b.awake
+    assert battery.draw_w == pytest.approx(0.163)
+    sim.run(until=1.0)
+    assert inbox == []  # the frame was lost to the sleep
+    assert medium.stats.frames_corrupted == 1
+    assert b.mode is RadioMode.SLEEP
     assert battery.draw_w == pytest.approx(0.163)
 
 

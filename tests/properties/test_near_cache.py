@@ -185,16 +185,16 @@ def test_buckets_match_brute_force_scan_under_churn():
 
 
 def test_channel_busy_probe_matches_full_scan():
-    """With many frames in flight, the cell-indexed carrier-sense probe
-    must agree with the exhaustive active-list scan for every radio."""
+    """With many frames in flight, carrier sense (which reads positions
+    through the inlined mobility fast paths) must agree with an
+    exhaustive scan over public positions for every radio."""
     sim, medium, radios = build_world(40, seed=21, moving=True)
-    medium.TX_SCAN_CUTOFF = 0  # force the probe path regardless of load
     rng = random.Random(5)
     sim.run(until=5.0)
     for i in sorted(rng.sample(range(len(radios)), 12)):
         medium.transmit(radios[i], "cs", 512)
     assert medium._active  # frames still in flight
-    sense2 = medium.config.sense_range ** 2
+    sense2 = medium.config.range_m ** 2
     for radio in radios:
         p = radio.mobility.position(sim.now)
         expect = any(
@@ -203,7 +203,3 @@ def test_channel_busy_probe_matches_full_scan():
             for tx in medium._active
         )
         assert medium.channel_busy(radio) == expect
-        # The plain-scan path below the cutoff agrees too.
-        medium.TX_SCAN_CUTOFF = len(medium._active) + 1
-        assert medium.channel_busy(radio) == expect
-        medium.TX_SCAN_CUTOFF = 0

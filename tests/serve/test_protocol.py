@@ -64,6 +64,19 @@ def test_submit_request_rejects(body):
         SubmitRequest.from_dict(body)
 
 
+def test_unknown_trace_category_is_rejected_at_submit():
+    # Used to be accepted, then fail inside the worker's Tracer.
+    for names in (["bogus"], ["gateway", "sim"]):
+        with pytest.raises(ProtocolError) as exc:
+            SubmitRequest.from_dict({
+                "kind": "run", "payload": {}, "trace": True,
+                "trace_filter": names,
+            })
+        assert exc.value.status == 400
+        assert "choose from" in exc.value.detail
+        assert "'gateway', 'page'" in exc.value.detail
+
+
 def test_submit_request_bad_json_is_protocol_error():
     with pytest.raises(ProtocolError):
         SubmitRequest.from_json("{{{nope")
