@@ -83,7 +83,6 @@ _LAZY = {
     "ReplicationPolicy": ("repro.experiments.adaptive", "ReplicationPolicy"),
     "adaptive_sweep": ("repro.experiments.adaptive", "adaptive_sweep"),
     "FIGURES": ("repro.experiments.figures", "FIGURES"),
-    "NON_ADAPTIVE_FIGURES": ("repro.experiments.figures", "NON_ADAPTIVE_FIGURES"),
     "FigureData": ("repro.experiments.figures", "FigureData"),
     "figure": ("repro.experiments.figures", "figure"),
     "format_series_table": ("repro.experiments.report", "format_series_table"),
@@ -134,7 +133,6 @@ __all__ = [
     "default_cache_dir",
     # figures
     "FIGURES",
-    "NON_ADAPTIVE_FIGURES",
     "FigureData",
     # election policies and partition scoring
     "ELECTION_POLICIES",

@@ -25,7 +25,6 @@ import sys
 from repro.api import (
     ELECTION_POLICIES,
     FIGURES,
-    NON_ADAPTIVE_FIGURES,
     PROTOCOLS,
     ExperimentConfig,
     FigureData,
@@ -187,10 +186,8 @@ def main(argv=None) -> int:
         "(implies --profile)",
     )
 
-    fig_parsers = {}
     for name in FIGURES:
-        fig_parsers[name] = sub.add_parser(name, help=f"regenerate {name}")
-        _add_common(fig_parsers[name])
+        _add_common(sub.add_parser(name, help=f"regenerate {name}"))
 
     serve_p = sub.add_parser(
         "serve",
@@ -355,11 +352,6 @@ def main(argv=None) -> int:
             return 3
         return 0
 
-    if args.target_ci is not None and args.command in NON_ADAPTIVE_FIGURES:
-        fig_parsers[args.command].error(
-            f"argument --target-ci: {args.command} runs outside the sweep "
-            f"engine and has no adaptive replication; use --seeds N"
-        )
     fig = _figure(args.command, args)
     print(fig.to_text())
     if getattr(args, "csv", None):

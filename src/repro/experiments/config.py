@@ -11,6 +11,7 @@ scenario while preserving host density, per-host load and lifetime
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -21,8 +22,27 @@ from repro.faults.plan import FaultPlan
 from repro.protocols.base import ProtocolParams
 from repro.protocols.gaf import GafParams
 
+#: Every registered protocol: name -> (module, class).  A class is its
+#: own factory, ``cls(node, params, counters)``; its module loads on
+#: first use (:func:`protocol_class`).
+PROTOCOL_CLASSES = {
+    "ecgrid": ("repro.core.protocol", "EcGridProtocol"),
+    "grid": ("repro.protocols.grid", "GridProtocol"),
+    "gaf": ("repro.protocols.gaf", "GafProtocol"),
+    "aodv": ("repro.protocols.aodv", "AodvProtocol"),
+    "span": ("repro.protocols.span", "SpanProtocol"),
+    "dsdv": ("repro.protocols.dsdv", "DsdvProtocol"),
+    "flooding": ("repro.protocols.flooding", "FloodingProtocol"),
+}
+
 #: Registered protocol names.
-PROTOCOLS = ("ecgrid", "grid", "gaf", "aodv", "span", "dsdv", "flooding")
+PROTOCOLS = tuple(PROTOCOL_CLASSES)
+
+
+def protocol_class(name: str) -> type:
+    """The class registered as protocol ``name``."""
+    module, cls = PROTOCOL_CLASSES[name]
+    return getattr(importlib.import_module(module), cls)
 
 #: Version salt for :meth:`ExperimentConfig.cache_key`.  Bump whenever a
 #: config field changes meaning (or the simulation semantics behind one

@@ -520,65 +520,46 @@ def _resilience(
 
 
 # ----------------------------------------------------------------------
-# Trace-derived panels (not in the paper; read off the observability
-# layer's gateway/cell event streams — see docs/observability.md)
+# Partition-derived panels (not in the paper; each run scores its own
+# gateway/fault event streams — see docs/observability.md)
 # ----------------------------------------------------------------------
 def _gateway_tenure(
     runner, speed, scale, seeds,
     protocols: Sequence[str] = COMPARED,
-    qs: Sequence[float] = (10.0, 25.0, 50.0, 75.0, 90.0),
 ) -> FigureData:
     """Gateway tenure and no-gateway gap distributions per protocol.
 
-    Each run is traced with the ``gateway``/``cell`` categories and
-    reduced through :mod:`repro.obs.report`: ``{proto}:tenure_s`` is the
-    empirical distribution of individual gateway tenures (election to
-    demotion), ``{proto}:no_gw_s`` the distribution of per-cell
-    intervals during which no gateway covered the cell.  Runs bypass
-    the sweep engine and its result cache — cached
-    :class:`~repro.experiments.runner.ExperimentResult` records do not
-    carry traces — so :func:`figure` refuses adaptive replication here.
+    Each run's partition record (``evaluate_partition``) keeps the
+    percentiles of its individual gateway tenures (election to
+    demotion) and of its per-cell intervals with no gateway;
+    ``{proto}:tenure_s`` and ``{proto}:no_gw_s`` plot them over the
+    percentile.
     """
-    from repro.experiments.runner import run_experiment
-    from repro.obs import Tracer
-    from repro.obs.report import (
-        gateway_tenures,
-        no_gateway_intervals,
-        percentiles,
-    )
+    from repro.metrics.partition import PERCENTILES
 
-    per_label: Dict[str, Dict[int, Series]] = {}
-    results: Dict[str, ExperimentResult] = {}
-    for proto in protocols:
-        for seed in seeds:
-            cfg = _base(speed, scale, seed, protocol=proto)
-            tracer = Tracer(categories=("gateway", "cell"))
-            result = run_experiment(cfg, tracer=tracer)
-            results[f"protocol={proto}/seed={seed}"] = result
-            events = list(tracer.events("gateway"))
-            tenures = gateway_tenures(events, cfg.sim_time_s)
-            gaps = [
-                t1 - t0
-                for spans in no_gateway_intervals(
-                    events, cfg.sim_time_s
-                ).values()
-                for t0, t1 in spans
-            ]
-            for label, values in (
-                (f"{proto}:tenure_s", [t1 - t0 for _, _, t0, t1 in tenures]),
-                (f"{proto}:no_gw_s", gaps),
-            ):
-                pts = percentiles(values, qs)
-                if pts:
-                    per_label.setdefault(label, {})[seed] = pts
-    return _reduce_seeds(
+    spec = SweepSpec(
+        name="gateway-tenure",
+        base=_base(speed, scale, seeds[0], evaluate_partition=True),
+        axes={"protocol": list(protocols), "seed": list(seeds)},
+    )
+    run = runner.run(spec)
+
+    def extract(point, result):
+        proto = point.axes["protocol"]
+        for label, stat in (("tenure_s", "tenure"), ("no_gw_s", "gap")):
+            for q in PERCENTILES:
+                value = result.partition.get(f"{stat}_p{q:g}_s")
+                if value is not None:
+                    yield f"{proto}:{label}", q, value
+
+    return _assemble(
         "gateway-tenure",
         f"Gateway tenure / no-gateway gap distributions "
         f"(speed {speed} m/s)",
         "percentile",
         "seconds",
-        per_label,
-        results,
+        run,
+        extract,
         seeds,
     )
 
@@ -696,11 +677,6 @@ FIGURES: Dict[str, Callable[..., FigureData]] = {
     "election-faceoff": _election_faceoff,
 }
 
-#: Figures whose runs bypass the sweep engine (each is traced, and
-#: cached results carry no traces), so no scheduler can allocate their
-#: seeds: :func:`figure` refuses adaptive replication for them.
-NON_ADAPTIVE_FIGURES = frozenset({"gateway-tenure"})
-
 
 def figure(
     name: str,
@@ -723,7 +699,8 @@ def figure(
     reduces curves to mean ± stddev.  ``runner`` selects parallelism
     and caching (default: inline serial, uncached).  Remaining keyword
     arguments are figure-specific axes (``protocols=``, ``densities=``,
-    ``pauses=``, ``periods=``, ``policies=``, ``sides=``).
+    ``pauses=``, ``periods=``, ``policies=``, ``sides=``,
+    ``intensities=``, ``scenarios=``).
 
     ``target_ci`` switches to *adaptive replication*
     (:mod:`repro.experiments.adaptive`): seeds are allocated per arm in
@@ -734,11 +711,7 @@ def figure(
     ``FigureData.precision`` and the seeds actually used in
     ``FigureData.seeds``.  Passing a pre-built
     :class:`~repro.experiments.adaptive.AdaptiveRunner` as ``runner``
-    (the serve path does) uses its policy directly.  The figures in
-    :data:`NON_ADAPTIVE_FIGURES` (the trace-derived ``gateway-tenure``
-    panel) run outside the sweep engine and have no adaptive mode: with
-    ``target_ci`` or an ``AdaptiveRunner`` they raise
-    :class:`ValueError` before simulating anything.
+    (the serve path does) uses its policy directly.
     """
     key = name.replace("_", "-")
     if key not in FIGURES:
@@ -747,13 +720,6 @@ def figure(
         )
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    if key in NON_ADAPTIVE_FIGURES and (
-        target_ci is not None or isinstance(runner, AdaptiveRunner)
-    ):
-        raise ValueError(
-            f"{key} runs outside the sweep engine and has no adaptive "
-            f"replication; use seeds=N instead of target_ci"
-        )
     engine: Optional[AdaptiveRunner] = None
     if isinstance(runner, AdaptiveRunner):
         engine = runner

@@ -4,42 +4,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional
 
-from repro.core.protocol import EcGridProtocol
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, protocol_class
 from repro.metrics.timeseries import TimeSeries
 from repro.net.network import Network, NetworkConfig
-from repro.protocols.flooding import FloodingProtocol
-from repro.protocols.gaf import GafProtocol
-from repro.protocols.grid import GridProtocol
 
 
 def _make_factory(config: ExperimentConfig):
-    name = config.protocol
-    if name == "ecgrid":
-        return lambda node, params, counters: EcGridProtocol(node, params, counters)
-    if name == "grid":
-        return lambda node, params, counters: GridProtocol(node, params, counters)
-    if name == "gaf":
-        return lambda node, params, counters: GafProtocol(
-            node, params, counters, gaf=config.gaf
-        )
-    if name == "aodv":
-        from repro.protocols.aodv import AodvProtocol
-
-        return lambda node, params, counters: AodvProtocol(node, params, counters)
-    if name == "span":
-        from repro.protocols.span import SpanProtocol
-
-        return lambda node, params, counters: SpanProtocol(node, params, counters)
-    if name == "dsdv":
-        from repro.protocols.dsdv import DsdvProtocol
-
-        return lambda node, params, counters: DsdvProtocol(node, params, counters)
-    if name == "flooding":
-        return lambda node, params, counters: FloodingProtocol(node, params, counters)
-    raise ValueError(f"unknown protocol {name!r}")
+    """The registered protocol class; GAF also takes the config's
+    ``gaf`` tunables."""
+    cls = protocol_class(config.protocol)
+    return partial(cls, gaf=config.gaf) if config.protocol == "gaf" else cls
 
 
 def build_network(config: ExperimentConfig) -> Network:
@@ -223,18 +200,24 @@ def run_experiment(
 
     ``tracer`` (a :class:`repro.obs.trace.Tracer`) is attached to the
     network before the run; protocol/PHY/MAC events stream into it
-    without perturbing the schedule.
+    without perturbing the schedule.  A config that sets
+    ``evaluate_partition`` subscribes a
+    :class:`~repro.metrics.partition.PartitionRecorder` to it (or to a
+    private tracer), which enables its ``gateway`` and ``fault`` streams.
     """
     network = build_network(config)
-    try:
-        if tracer is None and config.evaluate_partition:
-            # Partition scoring reads the gateway (and fault) streams; a
-            # private tracer records them without touching dispatch.  The
-            # wide ring keeps high-churn scenarios from evicting the early
-            # elections the tenure reconstruction needs.
+    recorder = None
+    if config.evaluate_partition:
+        from repro.metrics.partition import PartitionRecorder
+
+        recorder = PartitionRecorder()
+        if tracer is None:
             from repro.obs import Tracer
 
-            tracer = Tracer(categories=("gateway", "fault"), ring=1_000_000)
+            # Routes events to the recorder, which keeps them all.
+            tracer = Tracer(categories=(), ring=0)
+        tracer.subscribe(recorder)
+    try:
         if tracer is not None:
             network.attach_tracer(tracer)
         checker = None
@@ -261,21 +244,12 @@ def run_experiment(
                 checker.report if checker is not None else None,
             )
         result = result_from_network(network, config, wall, recovery)
-        if (
-            config.evaluate_partition
-            and tracer is not None
-            and tracer.gateway
-        ):
-            from repro.metrics.partition import partition_quality
-
-            events = list(tracer.events("gateway"))
-            if tracer.fault:
-                events += list(tracer.events("fault"))
-            result.partition = partition_quality(
-                events, config.sim_time_s
-            ).to_dict()
+        if recorder is not None:
+            result.partition = recorder.report(config.sim_time_s).to_dict()
         return result
     finally:
+        if recorder is not None:
+            tracer.unsubscribe(recorder)
         # After the reduce: the result keeps only plain values and the
         # sampler's series, and closing frees the run by reference count.
         network.close()

@@ -14,13 +14,16 @@ figure ranks policies by:
   costs RETIRE/TablesTransfer traffic and a paging-coverage wobble);
 - **coverage gaps**: the fraction of covered-cell time with *no*
   gateway (ECGRID's wakeup guarantee is broken exactly then), plus the
-  gap count and mean/max gap lengths.
+  gap count and mean/max gap lengths;
+- **distributions**: the nearest-rank percentiles of individual tenure
+  lengths and of no-gateway gap lengths, which the ``gateway-tenure``
+  figure plots.
 
 Network lifetime, the fourth axis the faceoff reports, comes from the
 standard :class:`~repro.experiments.runner.ExperimentResult` fields —
-it needs no trace.  :func:`partition_quality` is what
-:func:`~repro.experiments.runner.run_experiment` calls when a config
-sets ``evaluate_partition``; the flat dict lands in
+it needs no trace.  :func:`~repro.experiments.runner.run_experiment`
+records a run with a :class:`PartitionRecorder` when its config sets
+``evaluate_partition``; the report's flat dict lands in
 ``ExperimentResult.partition`` and rides the result cache.
 """
 
@@ -28,10 +31,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.report import Cell, gateway_tenures, no_gateway_intervals
+from repro.obs.report import (
+    Cell,
+    gateway_tenures,
+    no_gateway_intervals,
+    percentiles,
+)
 from repro.obs.trace import TraceEvent
+
+#: The percentiles a report keeps of each length distribution.
+PERCENTILES = (10.0, 25.0, 50.0, 75.0, 90.0)
 
 
 @dataclass(frozen=True)
@@ -52,10 +63,38 @@ class PartitionReport:
     mean_gap_s: float
     max_gap_s: float
     covered_cells: int
+    #: ``(q, seconds)`` at each of :data:`PERCENTILES` (nearest rank)
+    #: of individual tenure lengths and of no-gateway gap lengths;
+    #: empty without samples.
+    tenure_percentiles: Tuple[Tuple[float, float], ...] = ()
+    gap_percentiles: Tuple[Tuple[float, float], ...] = ()
 
     def to_dict(self) -> Dict[str, float]:
-        """Flat, JSON-ready floats (the result-record representation)."""
-        return {k: float(v) for k, v in asdict(self).items()}
+        """Flat, JSON-ready floats (the result-record representation);
+        each percentile is a ``tenure_p{q}_s`` / ``gap_p{q}_s`` key."""
+        flat = asdict(self)
+        for stat in ("tenure", "gap"):
+            for q, value in flat.pop(f"{stat}_percentiles"):
+                flat[f"{stat}_p{q:g}_s"] = value
+        return {k: float(v) for k, v in flat.items()}
+
+
+class PartitionRecorder:
+    """Subscribed to a run's tracer, as the auditors are, it keeps every
+    ``gateway`` and ``fault`` event whatever the tracer's categories and
+    ring, so the run's scores never depend on its caller's tracer."""
+
+    categories = ("gateway", "fault")
+
+    def __init__(self) -> None:
+        self.gateway: List[TraceEvent] = []
+        self.fault: List[TraceEvent] = []
+
+    def on_event(self, event: TraceEvent) -> None:
+        getattr(self, event.category).append(event)
+
+    def report(self, horizon: float) -> PartitionReport:
+        return partition_quality(self.gateway + self.fault, horizon)
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:
@@ -128,4 +167,8 @@ def partition_quality(
         ),
         max_gap_s=max(gap_lengths, default=0.0),
         covered_cells=covered,
+        tenure_percentiles=tuple(
+            percentiles([t1 - t0 for *_, t0, t1 in tenures], PERCENTILES)
+        ),
+        gap_percentiles=tuple(percentiles(gap_lengths, PERCENTILES)),
     )

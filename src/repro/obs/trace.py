@@ -222,6 +222,13 @@ class Tracer:
             if auditor not in subs:
                 subs.append(auditor)
 
+    def unsubscribe(self, auditor: Any) -> None:
+        """Stop routing events to ``auditor``; the categories it
+        enabled stay enabled."""
+        for c in auditor.categories:
+            if auditor in self._subscribers[c]:
+                self._subscribers[c].remove(auditor)
+
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------

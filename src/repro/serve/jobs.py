@@ -49,6 +49,7 @@ from repro.api import figure as api_figure
 from repro.api import run as api_run
 from repro.serve.events import EventBroker, TraceRelay
 from repro.serve.protocol import (
+    FIGURE_POLICY_FIELDS,
     TERMINAL_STATES,
     JobProgress,
     JobView,
@@ -59,13 +60,6 @@ from repro.serve.protocol import (
     figure_kwargs_from_payload,
     spec_from_payload,
     spec_to_payload,
-)
-
-#: The figure-kwarg fields that describe an adaptive policy (peeled off
-#: the parsed work so the job table owns the AdaptiveRunner and its
-#: round hook instead of figure() building a private one).
-_ADAPTIVE_FIGURE_FIELDS = (
-    "target_ci", "max_seeds", "min_seeds", "batch", "confidence",
 )
 
 
@@ -194,7 +188,7 @@ class JobTable:
         """
         request.validate()
         work = self._parse_work(request)
-        policy = self._parse_policy(request, work)
+        policy = self._parse_policy(request)
         key = self._work_key(request, work, policy)
         with self._lock:
             if self._closed:
@@ -263,26 +257,22 @@ class JobTable:
         return figure_kwargs_from_payload(request.payload)
 
     def _parse_policy(
-        self, request: SubmitRequest, work: Any
+        self, request: SubmitRequest
     ) -> Optional[ReplicationPolicy]:
-        """The job's adaptive policy, if the payload asked for one.
-
-        Figure jobs carry the policy inline in their parsed kwargs —
-        those fields are *removed* from ``work`` here so that
-        ``figure()`` receives the job table's wrapped
-        :class:`AdaptiveRunner` (round hook attached) instead of
-        building a private engine from the kwargs.
-        """
+        """The job's adaptive policy, if the payload asked for one: a
+        sweep's ``adaptive`` block or a figure's inline policy fields.
+        The job's :class:`AdaptiveRunner` (round hook attached) applies
+        it, so the parsed work never carries it."""
         if request.kind == "sweep":
             block = request.payload.get("adaptive")
             return None if block is None else adaptive_from_payload(block)
-        if request.kind == "figure" and "target_ci" in work:
+        if request.kind == "figure":
             fields = {
-                k: work.pop(k)
-                for k in _ADAPTIVE_FIGURE_FIELDS
-                if k in work
+                k: request.payload[k]
+                for k in FIGURE_POLICY_FIELDS
+                if k in request.payload
             }
-            return adaptive_from_payload(fields)
+            return adaptive_from_payload(fields) if fields else None
         return None
 
     def _work_key(

@@ -27,6 +27,7 @@ from repro.api import (
     RESULT_SCHEMA,
     ExperimentConfig,
     FaultPlan,
+    SweepRun,
     SweepSpec,
     result_to_dict,
 )
@@ -39,6 +40,11 @@ API_VERSION = 1
 
 #: Submittable job kinds.
 JOB_KINDS = ("run", "sweep", "figure")
+
+#: The adaptive-policy fields a ``figure`` payload carries inline.
+FIGURE_POLICY_FIELDS = (
+    "target_ci", "max_seeds", "min_seeds", "batch", "confidence",
+)
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -83,9 +89,9 @@ class SubmitRequest:
       ``"adaptive"`` block (:func:`adaptive_from_payload`) switches the
       seed axis to adaptive replication;
     - ``figure`` — ``{"name", "speed", "scale", "seed", "seeds",
-      "axes"}`` for the figure registry, plus optional adaptive fields
-      (``target_ci``, ``max_seeds``, ``min_seeds``, ``batch``,
-      ``confidence``).
+      "axes"}`` for the figure registry (``axes`` maps figure axis
+      names to value lists), plus optional adaptive fields
+      (:data:`FIGURE_POLICY_FIELDS`).
 
     ``trace=True`` (``run`` jobs only) attaches a tracer and streams
     its events over the job's SSE channel; ``trace_filter`` narrows the
@@ -302,13 +308,29 @@ def config_from_payload(payload: Mapping[str, Any]) -> Any:
     return config
 
 
+def _value_lists(axes: Any) -> bool:
+    return isinstance(axes, Mapping) and all(
+        isinstance(v, Sequence) and not isinstance(v, (str, bytes))
+        for v in axes.values()
+    )
+
+
+class _GridCheck:
+    """A runner that simulates nothing: ``run(spec)`` validates every
+    point's config and returns an empty :class:`SweepRun`.  Unknown
+    axis names and bad values then fail at submit, not in a worker."""
+
+    @staticmethod
+    def run(spec: Any) -> Any:
+        for point in spec.expand():
+            point.config.validate()
+        return SweepRun(spec, [])
+
+
 def spec_from_payload(payload: Mapping[str, Any]) -> Any:
     """A :class:`SweepSpec` from a ``sweep`` payload (validated)."""
     axes = payload.get("axes", {})
-    if not isinstance(axes, Mapping) or not all(
-        isinstance(v, Sequence) and not isinstance(v, (str, bytes))
-        for v in axes.values()
-    ):
+    if not _value_lists(axes):
         raise ProtocolError("sweep axes must map names to value lists")
     try:
         resolved: Dict[str, List[Any]] = {}
@@ -325,10 +347,7 @@ def spec_from_payload(payload: Mapping[str, Any]) -> Any:
             axes=resolved,
             scale=float(payload.get("scale", 1.0)),
         )
-        # Surfaces unknown axis names and bad values at submit, not in
-        # a worker.
-        for point in spec.expand():
-            point.config.validate()
+        _GridCheck.run(spec)
     except (TypeError, ValueError, KeyError) as exc:
         raise ProtocolError(f"bad sweep spec: {exc}") from exc
     return spec
@@ -351,21 +370,16 @@ def spec_to_payload(spec: Any) -> Dict[str, Any]:
 
 
 def figure_kwargs_from_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """Validated keyword arguments for :func:`repro.api.figure`."""
-    from repro.api import FIGURES, NON_ADAPTIVE_FIGURES
+    """Validated keyword arguments for :func:`repro.api.figure`, less
+    the adaptive policy fields: the figure runs on a :class:`_GridCheck`,
+    which validates its grid and simulates nothing."""
+    from repro.api import figure
 
     name = payload.get("name")
     if not name:
         raise ProtocolError("figure payload needs a 'name'")
-    key = str(name).replace("_", "-")
-    if key not in FIGURES:
-        raise ProtocolError(
-            f"unknown figure {name!r}; choose from {sorted(FIGURES)}"
-        )
-    known = {
-        "name", "speed", "scale", "seed", "seeds", "axes",
-        "target_ci", "max_seeds", "min_seeds", "batch", "confidence",
-    }
+    known = {"name", "speed", "scale", "seed", "seeds", "axes"}
+    known.update(FIGURE_POLICY_FIELDS)
     unknown = set(payload) - known
     if unknown:
         raise ProtocolError(
@@ -373,36 +387,20 @@ def figure_kwargs_from_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
             f"expected a subset of {sorted(known)}"
         )
     axes = payload.get("axes", {})
-    if not isinstance(axes, Mapping):
-        raise ProtocolError("figure 'axes' must be a JSON object")
-    kwargs = {
-        "name": str(name),
-        "speed": float(payload.get("speed", 1.0)),
-        "scale": float(payload.get("scale", 1.0)),
-        "seed": int(payload.get("seed", 1)),
-        "seeds": int(payload.get("seeds", 1)),
-        **{k: v for k, v in axes.items()},
-    }
-    adaptive_fields = {
-        "target_ci", "max_seeds", "min_seeds", "batch", "confidence",
-    } & set(payload)
-    if adaptive_fields:
-        if "target_ci" not in payload:
-            raise ProtocolError(
-                f"figure field(s) {sorted(adaptive_fields)} need "
-                f"'target_ci' (adaptive replication; see docs/sweeps.md)"
-            )
-        if key in NON_ADAPTIVE_FIGURES:
-            raise ProtocolError(
-                f"figure {key!r} runs outside the sweep engine and has no "
-                f"adaptive replication; drop 'target_ci' and use 'seeds'"
-            )
-        policy = adaptive_from_payload(
-            {k: payload[k] for k in adaptive_fields}
-        )
-        kwargs.update(policy.to_dict())
-        del kwargs["gate_scalars"]
-    return kwargs
+    if not _value_lists(axes):
+        raise ProtocolError("figure axes must map names to value lists")
+    try:
+        kwargs = {
+            "name": str(name),
+            "speed": float(payload.get("speed", 1.0)),
+            "scale": float(payload.get("scale", 1.0)),
+            "seed": int(payload.get("seed", 1)),
+            "seeds": int(payload.get("seeds", 1)),
+        }
+        figure(**kwargs, **axes, runner=_GridCheck())
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ProtocolError(f"bad figure: {exc}") from exc
+    return {**kwargs, **axes}
 
 
 def adaptive_from_payload(payload: Mapping[str, Any]) -> Any:

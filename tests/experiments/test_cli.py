@@ -36,8 +36,7 @@ def test_rejects_unknown_protocol():
 @pytest.mark.parametrize("argv", [
     ["fig4", "--workers", "-1"],
     ["serve", "--sweep-workers", "-1"],
-    ["gateway-tenure", "--target-ci", "0.05"],
-], ids=["workers", "sweep-workers", "target-ci-without-adaptive-mode"])
+], ids=["workers", "sweep-workers"])
 def test_bad_input_is_a_usage_error(argv, capsys, monkeypatch):
     # argparse's exit 2 with the subcommand's usage, before anything
     # runs -- not a traceback from deep in the sweep or figure layer,
@@ -54,6 +53,19 @@ def test_bad_input_is_a_usage_error(argv, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: ecgrid {argv[0]}")
     assert argv[1] in err
+
+
+def test_gateway_tenure_pools_and_caches(tmp_path, capsys):
+    # The panel runs through the sweep engine: its points go to the
+    # pool and the result cache, so a rerun simulates nothing.
+    argv = ["gateway-tenure", "--scale", "0.06", "--workers", "2",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "sweep: 3 point(s) simulated, 0 cached (workers=2)" in out
+    assert "ecgrid:tenure_s" in out
+    assert main(argv) == 0
+    assert "sweep: 0 point(s) simulated, 3 cached" in capsys.readouterr().out
 
 
 def test_watch_subcommand(capsys):

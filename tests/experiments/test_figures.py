@@ -8,13 +8,7 @@ same grid (Figs. 4/5, Figs. 6/7) simulate it once.
 
 import pytest
 
-from repro.api import (
-    AdaptiveRunner,
-    ReplicationPolicy,
-    ResultCache,
-    SweepRunner,
-    figure,
-)
+from repro.api import ResultCache, SweepRunner, figure
 
 SCALE = 0.1  # ~10 hosts, ~320 m, 200 s horizon
 
@@ -97,27 +91,56 @@ def test_ablation_gridsize(runner):
 
 def test_gateway_tenure_figure():
     fig = figure(
-        "gateway_tenure", scale=0.06, seed=3,
-        protocols=("ecgrid",), qs=(50.0, 90.0),
+        "gateway_tenure", scale=0.06, seed=3, protocols=("ecgrid",),
     )
     assert fig.figure_id == "gateway-tenure"
     assert "ecgrid:tenure_s" in fig.series
     tenures = dict(fig.series["ecgrid:tenure_s"])
-    assert set(tenures) == {50.0, 90.0}
+    assert set(tenures) == {10.0, 25.0, 50.0, 75.0, 90.0}
     assert all(v >= 0.0 for v in tenures.values())
     assert tenures[90.0] >= tenures[50.0]
     for label, series in fig.series.items():
         assert [x for x, _ in series] == sorted(x for x, _ in series)
 
 
-def test_gateway_tenure_rejects_adaptive_replication():
-    # Its runs are traced outside the sweep engine, so no scheduler can
-    # allocate their seeds; asking for one must fail before simulating
-    # rather than trace every seed of the max_seeds pool.
-    tiny = dict(scale=0.06, seed=3, protocols=("ecgrid",), qs=(50.0,))
-    with pytest.raises(ValueError, match="gateway-tenure"):
-        figure("gateway-tenure", target_ci=0.5, max_seeds=4, **tiny)
-    engine = AdaptiveRunner(ReplicationPolicy(target_ci=0.5, max_seeds=4))
-    with pytest.raises(ValueError, match="gateway-tenure"):
-        figure("gateway_tenure", runner=engine, **tiny)
-    assert engine.reports == []
+def test_gateway_tenure_matches_a_directly_traced_run():
+    """The panel reads each run's partition record; its curves must
+    equal the reduction of the same runs traced directly."""
+    from repro.api import ExperimentConfig, run_experiment
+    from repro.obs import Tracer
+    from repro.obs.report import (
+        gateway_tenures,
+        no_gateway_intervals,
+        percentiles,
+    )
+
+    qs = (10.0, 25.0, 50.0, 75.0, 90.0)
+    fig = figure("gateway-tenure", scale=0.06, seed=3, seeds=2)
+    assert fig.seeds == [3, 4]
+    for proto in ("grid", "ecgrid", "gaf"):
+        expected = {"tenure_s": [], "no_gw_s": []}
+        for seed in fig.seeds:
+            cfg = ExperimentConfig(
+                protocol=proto, max_speed_mps=1.0, pause_time_s=0.0,
+                seed=seed,
+            ).scaled(0.06)
+            tracer = Tracer(categories=("gateway",))
+            run_experiment(cfg, tracer=tracer)
+            events = tracer.events("gateway")
+            tenures = [
+                t1 - t0
+                for *_, t0, t1 in gateway_tenures(events, cfg.sim_time_s)
+            ]
+            gaps = [
+                t1 - t0
+                for spans in no_gateway_intervals(
+                    events, cfg.sim_time_s
+                ).values()
+                for t0, t1 in spans
+            ]
+            for label, values in (("tenure_s", tenures), ("no_gw_s", gaps)):
+                if values:
+                    expected[label].append(percentiles(values, qs))
+        assert expected["tenure_s"], proto
+        for label, curves in expected.items():
+            assert fig.raw.get(f"{proto}:{label}", []) == curves, label

@@ -16,12 +16,10 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import PROTOCOLS, ExperimentConfig
 from repro.experiments.sweep import SweepRunner, SweepSpec
 from repro.faults.plan import standard_fault_plan
 from repro.obs import Tracer
-
-PROTOCOLS = ("ecgrid", "grid", "gaf", "aodv", "span", "dsdv", "flooding")
 
 
 def scenario(protocol="ecgrid", **overrides):

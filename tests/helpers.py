@@ -2,34 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.core.protocol import EcGridProtocol
+# A protocol class is its own factory.
+from repro.experiments.config import protocol_class as protocol_factory
 from repro.geo.vector import Vec2
 from repro.mobility.static import StaticPosition
 from repro.net.network import Network, NetworkConfig
 from repro.protocols.base import ProtocolParams
-from repro.protocols.aodv import AodvProtocol
-from repro.protocols.span import SpanProtocol
-from repro.protocols.dsdv import DsdvProtocol
-from repro.protocols.flooding import FloodingProtocol
-from repro.protocols.gaf import GafProtocol
-from repro.protocols.grid import GridProtocol
-
-PROTOCOL_CLASSES = {
-    "ecgrid": EcGridProtocol,
-    "grid": GridProtocol,
-    "gaf": GafProtocol,
-    "aodv": AodvProtocol,
-    "span": SpanProtocol,
-    "dsdv": DsdvProtocol,
-    "flooding": FloodingProtocol,
-}
-
-
-def protocol_factory(name: str) -> Callable:
-    cls = PROTOCOL_CLASSES[name]
-    return lambda node, params, counters: cls(node, params, counters)
 
 
 def make_static_network(

@@ -131,9 +131,49 @@ def test_to_dict_is_flat_floats():
         [ev("gateway.elect", 0.0, node=1, cell=(0, 0))], horizon=10.0
     )
     d = rep.to_dict()
+    # One 10 s tenure and no gap: only the tenure percentiles appear.
     assert set(d) == {
         "n_tenures", "n_gateways", "load_cv", "load_gini",
         "churn_per_100s", "gap_fraction", "gap_count", "mean_gap_s",
         "max_gap_s", "covered_cells",
+        "tenure_p10_s", "tenure_p25_s", "tenure_p50_s", "tenure_p75_s",
+        "tenure_p90_s",
     }
+    assert d["tenure_p50_s"] == 10.0
     assert all(isinstance(v, float) for v in d.values())
+
+
+def test_length_distributions_are_nearest_rank_percentiles():
+    # Tenures 40 and 50 s and one 10 s gap in cell (0, 0).
+    events = [
+        ev("gateway.elect", 0.0, node=1, cell=(0, 0)),
+        ev("gateway.demote", 40.0, node=1, cell=(0, 0)),
+        ev("gateway.elect", 50.0, node=2, cell=(0, 0)),
+    ]
+    d = partition_quality(events, horizon=100.0).to_dict()
+    assert [d[f"tenure_p{q}_s"] for q in (10, 25, 50, 75, 90)] == [
+        40.0, 40.0, 40.0, 50.0, 50.0,
+    ]
+    assert [d[f"gap_p{q}_s"] for q in (10, 25, 50, 75, 90)] == [10.0] * 5
+
+
+def test_scores_do_not_depend_on_the_callers_tracer(tmp_path):
+    """A tracer recording other categories (or evicting early
+    elections) must not change the scores, nor the cached record that
+    later untraced runs are answered from."""
+    from repro.api import ExperimentConfig, ResultCache, run
+    from repro.obs import Tracer
+
+    cfg = ExperimentConfig(
+        seed=3, evaluate_partition=True, n_hosts=8, sim_time_s=40.0,
+        width_m=300.0, height_m=300.0, n_flows=2, sample_interval_s=5.0,
+    )
+    plain = run(cfg).partition
+    assert plain["n_tenures"] >= 1
+    cache = ResultCache(str(tmp_path))
+    paged = run(cfg, cache=cache, tracer=Tracer(categories=("page",)))
+    assert paged.partition == plain
+    assert run(cfg, tracer=Tracer(ring=1)).partition == plain
+    cached = run(cfg, cache=cache)
+    assert cache.hits == 1
+    assert cached.partition == plain

@@ -147,6 +147,10 @@ def test_subscribe_force_enables_and_deduplicates():
     assert tr.page
     tr.emit("page.sent", node=1)
     assert probe.seen == ["page.sent"]
+    tr.unsubscribe(probe)
+    tr.emit("page.sent", node=1)
+    assert probe.seen == ["page.sent"]
+    assert tr.page  # the category stays enabled
 
 
 def test_null_tracer_is_fully_dark():

@@ -122,7 +122,7 @@ def test_adaptive_and_fixed_work_never_share_a_key():
 
         def key(request):
             work = table._parse_work(request)
-            policy = table._parse_policy(request, work)
+            policy = table._parse_policy(request)
             return table._work_key(request, work, policy)
 
         keys = {key(fixed), key(loose), key(tight)}
@@ -159,22 +159,25 @@ def test_bad_adaptive_payloads_are_protocol_errors():
         table.shutdown()
 
 
-def test_adaptive_gateway_tenure_submit_is_rejected():
-    # gateway-tenure traces its runs outside the sweep engine, so it
-    # has no adaptive mode: the submit answers 400 instead of queueing
-    # a job that would trace every seed of the max_seeds pool.
+def test_adaptive_gateway_tenure_submit_is_accepted():
+    # gateway-tenure runs through the sweep engine like every other
+    # figure, so the job table's adaptive engine replicates it.
     table = JobTable(cache=None, concurrency=1)
     try:
-        with pytest.raises(ProtocolError, match="gateway-tenure") as exc:
-            table.submit(SubmitRequest(
-                kind="figure",
-                payload={
-                    "name": "gateway-tenure", "scale": 0.06, "seed": 3,
-                    "target_ci": 0.5, "max_seeds": 4,
-                    "axes": {"protocols": ["ecgrid"], "qs": [50.0]},
-                },
-            ))
-        assert exc.value.status == 400
-        assert table._jobs == {}
+        view = table.submit(SubmitRequest(
+            kind="figure",
+            payload={
+                "name": "gateway-tenure", "scale": 0.06, "seed": 3,
+                "target_ci": 1e9, "min_seeds": 2, "max_seeds": 4,
+                "axes": {"protocols": ["ecgrid"]},
+            },
+        ))
+        assert table._jobs[view.job_id].policy.max_seeds == 4
+        done = wait_terminal(table, view.job_id)
+        assert done.state == "done", done.error
+        fig = table.result_of(view.job_id)
+        assert fig.precision is not None and fig.precision["all_met"]
+        assert fig.seeds == [3, 4]
+        assert "ecgrid:tenure_s" in fig.series
     finally:
         table.shutdown()

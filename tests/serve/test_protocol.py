@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.serve.events import parse_sse, sse_frame
+from repro.serve.jobs import JobTable
 from repro.serve.protocol import (
     API_VERSION,
     JOB_KINDS,
@@ -189,10 +190,26 @@ def test_figure_kwargs_from_payload():
     assert kwargs["name"] == "fig4"
     assert kwargs["scale"] == 0.1
     assert kwargs["seeds"] == 2
-    with pytest.raises(ProtocolError):
-        figure_kwargs_from_payload({"name": "fig99"})
-    with pytest.raises(ProtocolError):
-        figure_kwargs_from_payload({"name": "fig4", "wat": 1})
+    table = JobTable(cache=None, concurrency=1)
+    try:
+        for bad in (
+            {"name": "fig99"},
+            {"name": "fig4", "wat": 1},
+            # Each of these must fail at submit, not in a worker.
+            {"name": "fig4", "axes": {"bogus": [1]}},
+            {"name": "fig4", "axes": {"protocols": "ecgrid"}},
+            {"name": "fig4", "seeds": 0},
+            {"name": "fig4", "scale": 2.0},
+            {"name": "fig4", "speed": float("nan")},
+        ):
+            with pytest.raises(ProtocolError) as exc:
+                figure_kwargs_from_payload(bad)
+            assert exc.value.status == 400, bad
+            with pytest.raises(ProtocolError):
+                table.submit(SubmitRequest(kind="figure", payload=bad))
+        assert table._jobs == {}
+    finally:
+        table.shutdown()
 
 
 # ----------------------------------------------------------------------
