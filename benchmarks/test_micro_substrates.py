@@ -14,6 +14,7 @@ from repro.energy.profile import PAPER_PROFILE
 from repro.geo.grid import GridMap
 from repro.geo.vector import Vec2
 from repro.mobility.base import next_cell_crossing
+from repro.mobility.static import StaticPosition
 from repro.mobility.waypoint import RandomWaypoint
 from repro.phy.medium import Medium
 from repro.phy.radio import Radio
@@ -49,7 +50,7 @@ def test_medium_broadcast_fanout(benchmark):
         battery = Battery(1e9)
         mon = BatteryMonitor(sim, battery, max_draw_w=1.433)
         pos = Vec2(rng.uniform(300, 700), rng.uniform(300, 700))
-        r = Radio(i, lambda p=pos: p, PAPER_PROFILE, mon)
+        r = Radio(i, StaticPosition(pos), PAPER_PROFILE, mon)
         medium.register(r)
         radios.append(r)
 
@@ -63,14 +64,19 @@ def test_medium_broadcast_fanout(benchmark):
 
 
 def test_battery_integration_rate(benchmark):
-    """1M draw switches on one analytic battery."""
+    """1M draw switches on one analytic battery, each through its
+    monitor (the path every radio mode flip takes)."""
 
     def run():
+        sim = Simulator()
         b = Battery(1e12)
+        set_draw = BatteryMonitor(sim, b, max_draw_w=1.4).set_draw
+        advance = sim.run
         t = 0.0
         for i in range(1_000_000):
             t += 0.001
-            b.set_draw(0.8 if i & 1 else 1.4, t)
+            advance(until=t)
+            set_draw(0.8 if i & 1 else 1.4)
         return b.remaining_at(t)
 
     benchmark(run)

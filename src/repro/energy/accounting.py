@@ -61,25 +61,13 @@ class BatteryMonitor:
         """Account the elapsed interval, switch the draw, and make sure
         a check event is booked if anything can still change.
 
-        :meth:`Battery.set_draw` is inlined here with its exact
-        arithmetic — this pair is the hottest call chain of a whole
-        simulation (every radio mode flip lands here).
+        The only draw switch: every radio mode flip lands here through
+        :meth:`Radio._update <repro.phy.radio.Radio._update>`.
         """
-        battery = self.battery
-        now = self.sim.now
         if watts < 0:
             raise ValueError("draw cannot be negative")
-        last = battery._last_t
-        if now < last:
-            raise ValueError(f"time went backwards: {now} < {last}")
-        if battery.infinite:
-            battery._last_t = now
-        else:
-            battery._remaining -= battery._draw_w * (now - last)
-            if battery._remaining <= 1e-12:
-                battery._remaining = 0.0
-                battery.depleted = True
-            battery._last_t = now
+        battery = self.battery
+        battery.settle(self.sim.now)
         battery._draw_w = watts
         if battery.depleted:
             self._fire_depleted()

@@ -10,11 +10,13 @@ from repro.energy.profile import EnergyLevel, level_of
 class Battery:
     """Energy store with closed-form accounting.
 
-    The draw is piecewise constant between calls to :meth:`set_draw`;
-    remaining energy at any time is computed analytically, so no
-    periodic "tick" events are needed.  ``capacity_j = math.inf`` models
-    the paper's Model-1 infinite-energy endpoints: such a battery never
-    depletes and always reports full.
+    The draw is piecewise constant between switches (made by
+    :meth:`BatteryMonitor.set_draw <repro.energy.accounting
+    .BatteryMonitor.set_draw>`, which settles first); remaining energy
+    at any time is computed analytically, so no periodic "tick" events
+    are needed.  ``capacity_j = math.inf`` models the paper's Model-1
+    infinite-energy endpoints: such a battery never depletes and always
+    reports full.
     """
 
     __slots__ = (
@@ -26,7 +28,7 @@ class Battery:
         if capacity_j <= 0:
             raise ValueError("capacity must be positive")
         self.capacity_j = capacity_j
-        #: Plain attributes, not properties: ``set_draw`` runs for every
+        #: Plain attributes, not properties: the draw switches on every
         #: radio mode flip (hundreds of thousands per simulation) and
         #: descriptor dispatch was a visible slice of its cost.
         self.infinite = math.isinf(capacity_j)
@@ -43,8 +45,10 @@ class Battery:
         """Current draw in watts."""
         return self._draw_w
 
-    def _settle(self, now: float) -> None:
-        """Charge the elapsed interval against the store."""
+    def settle(self, now: float) -> None:
+        """Charge the interval since the last settle at the current
+        draw against the store (the one place energy is spent on the
+        mode timeline); updates the ``depleted`` flag."""
         if now < self._last_t:
             raise ValueError(f"time went backwards: {now} < {self._last_t}")
         if self.infinite:
@@ -57,17 +61,12 @@ class Battery:
             self.depleted = True
         self._last_t = now
 
-    def settle(self, now: float) -> None:
-        """Fold the elapsed interval into the store without changing the
-        draw (updates the ``depleted`` flag at observation points)."""
-        self._settle(now)
-
     def exhaust(self, now: float) -> None:
         """Settle, then zero the store instantly (a crash fault: the
         battery is simply gone).  No-op for infinite batteries."""
         if self.infinite:
             return
-        self._settle(now)
+        self.settle(now)
         self._remaining = 0.0
         self.depleted = True
 
@@ -81,7 +80,7 @@ class Battery:
             raise ValueError("cannot drain a negative amount")
         if self.infinite:
             return
-        self._settle(now)
+        self.settle(now)
         self._remaining -= joules
         if self._remaining <= 1e-12:
             self._remaining = 0.0
@@ -94,33 +93,11 @@ class Battery:
             raise ValueError("cannot recharge a negative amount")
         if self.infinite:
             return
-        self._settle(now)
+        self.settle(now)
         self._remaining = min(self.capacity_j, self._remaining + joules)
         self.depleted = self._remaining == 0.0
 
     # ------------------------------------------------------------------
-    def set_draw(self, watts: float, now: float) -> None:
-        """Account for the interval since the last change, then switch
-        the draw to ``watts``.
-
-        The settle is inlined (same arithmetic, same rounding as
-        :meth:`_settle`) — this is the hottest battery entry point.
-        """
-        if watts < 0:
-            raise ValueError("draw cannot be negative")
-        last = self._last_t
-        if now < last:
-            raise ValueError(f"time went backwards: {now} < {last}")
-        if self.infinite:
-            self._last_t = now
-        else:
-            self._remaining -= self._draw_w * (now - last)
-            if self._remaining <= 1e-12:
-                self._remaining = 0.0
-                self.depleted = True
-            self._last_t = now
-        self._draw_w = watts
-
     def remaining_at(self, now: float) -> float:
         """Joules remaining at ``now`` (extrapolating the current draw)."""
         if self.infinite:

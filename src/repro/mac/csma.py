@@ -206,7 +206,7 @@ class CsmaMac:
             self._queue.appendleft(job)
             self._current = None
             return
-        if self.medium.channel_busy(self.radio) or self.radio.rx_count > 0:
+        if self.medium.channel_busy(self.radio) or self.radio.rx_recs:
             # Busy: redraw a fresh backoff and try again.
             self._schedule_attempt(job.cw)
             return

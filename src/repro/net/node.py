@@ -71,9 +71,7 @@ class Node:
             on_level_change=self._on_level_change,
             max_draw_w=profile.total_power(RadioMode.TX),
         )
-        self.radio = Radio(
-            node_id, self.position, profile, self.monitor, mobility=mobility
-        )
+        self.radio = Radio(node_id, mobility, profile, self.monitor)
         self.mac = CsmaMac(
             sim,
             self.radio,

@@ -360,27 +360,22 @@ class Medium:
                 # skipping the memo/cursor writes only changes how later
                 # queries recompute the same values, never the values.
                 mob = radio.mobility
-                if mob is not None:
-                    if now == mob._memo_t:
-                        p = mob._memo_pos
-                        x = p[0]
-                        y = p[1]
-                    else:
-                        seg = mob._active_seg
-                        if seg is not None and seg.t0 < now <= seg.t1:
-                            dt = now - seg.t0
-                            p0 = seg.p0
-                            v = seg.v
-                            x = p0.x + v.x * dt
-                            y = p0.y + v.y * dt
-                        else:
-                            p = mob.position(now)
-                            x = p[0]
-                            y = p[1]
-                else:
-                    p = radio.position()
+                if now == mob._memo_t:
+                    p = mob._memo_pos
                     x = p[0]
                     y = p[1]
+                else:
+                    seg = mob._active_seg
+                    if seg is not None and seg.t0 < now <= seg.t1:
+                        dt = now - seg.t0
+                        p0 = seg.p0
+                        v = seg.v
+                        x = p0.x + v.x * dt
+                        y = p0.y + v.y * dt
+                    else:
+                        p = mob.position(now)
+                        x = p[0]
+                        y = p[1]
                 ddx = x - px
                 ddy = y - py
                 if ddx * ddx + ddy * ddy <= r2:
@@ -397,27 +392,22 @@ class Medium:
         # Inlined ``MobilityModel.position`` fast paths (see
         # ``radios_near``) — carrier sense runs on every CSMA attempt.
         mob = radio.mobility
-        if mob is not None:
-            if now == mob._memo_t:
-                p = mob._memo_pos
-                px = p[0]
-                py = p[1]
-            else:
-                seg = mob._active_seg
-                if seg is not None and seg.t0 < now <= seg.t1:
-                    dt = now - seg.t0
-                    p0 = seg.p0
-                    v = seg.v
-                    px = p0.x + v.x * dt
-                    py = p0.y + v.y * dt
-                else:
-                    p = mob.position(now)
-                    px = p[0]
-                    py = p[1]
-        else:
-            p = radio.position()
+        if now == mob._memo_t:
+            p = mob._memo_pos
             px = p[0]
             py = p[1]
+        else:
+            seg = mob._active_seg
+            if seg is not None and seg.t0 < now <= seg.t1:
+                dt = now - seg.t0
+                p0 = seg.p0
+                v = seg.v
+                px = p0.x + v.x * dt
+                py = p0.y + v.y * dt
+            else:
+                p = mob.position(now)
+                px = p[0]
+                py = p[1]
         sense2 = self.config.range_m * self.config.range_m
         for tx in active:
             if tx.sender is radio:
@@ -474,16 +464,14 @@ class Medium:
         Walks ``cover``'s awake/sleeper partitions: sleepers feed only
         the (order-independent) missed-asleep counter, and awake
         candidates need just the half-duplex check before the reception
-        begins (base IDLE is guaranteed by the partition, so the radio
-        flips to RX unless it already is, which is what
-        ``Radio._update`` would resolve).  Receptions are appended to
+        begins (base IDLE is guaranteed by the partition, so
+        ``Radio._update`` resolves RX).  Receptions are appended to
         ``tx.receptions`` in cover order, then bucket insertion order.
         """
         config = self.config
         stats = self.stats
         unit_disk = config.loss_model == "unit_disk"
         fault_hook = self.fault_hook
-        rx_mode = RadioMode.RX
         now = self.sim.now
         pos = tx.pos
         px = tx.px
@@ -517,27 +505,22 @@ class Medium:
                 for radio in sleepers:
                     # Inlined position fast paths (see radios_near).
                     mob = radio.mobility
-                    if mob is not None:
-                        if now == mob._memo_t:
-                            p = mob._memo_pos
-                            x = p[0]
-                            y = p[1]
-                        else:
-                            seg = mob._active_seg
-                            if seg is not None and seg.t0 < now <= seg.t1:
-                                dt = now - seg.t0
-                                p0 = seg.p0
-                                v = seg.v
-                                x = p0.x + v.x * dt
-                                y = p0.y + v.y * dt
-                            else:
-                                p = mob.position(now)
-                                x = p[0]
-                                y = p[1]
-                    else:
-                        p = radio.position()
+                    if now == mob._memo_t:
+                        p = mob._memo_pos
                         x = p[0]
                         y = p[1]
+                    else:
+                        seg = mob._active_seg
+                        if seg is not None and seg.t0 < now <= seg.t1:
+                            dt = now - seg.t0
+                            p0 = seg.p0
+                            v = seg.v
+                            x = p0.x + v.x * dt
+                            y = p0.y + v.y * dt
+                        else:
+                            p = mob.position(now)
+                            x = p[0]
+                            y = p[1]
                     ddx = x - px
                     ddy = y - py
                     if ddx * ddx + ddy * ddy <= r2:
@@ -545,27 +528,22 @@ class Medium:
             for radio in awake:
                 if straddle:
                     mob = radio.mobility
-                    if mob is not None:
-                        if now == mob._memo_t:
-                            p = mob._memo_pos
-                            x = p[0]
-                            y = p[1]
-                        else:
-                            seg = mob._active_seg
-                            if seg is not None and seg.t0 < now <= seg.t1:
-                                dt = now - seg.t0
-                                p0 = seg.p0
-                                v = seg.v
-                                x = p0.x + v.x * dt
-                                y = p0.y + v.y * dt
-                            else:
-                                p = mob.position(now)
-                                x = p[0]
-                                y = p[1]
-                    else:
-                        p = radio.position()
+                    if now == mob._memo_t:
+                        p = mob._memo_pos
                         x = p[0]
                         y = p[1]
+                    else:
+                        seg = mob._active_seg
+                        if seg is not None and seg.t0 < now <= seg.t1:
+                            dt = now - seg.t0
+                            p0 = seg.p0
+                            v = seg.v
+                            x = p0.x + v.x * dt
+                            y = p0.y + v.y * dt
+                        else:
+                            p = mob.position(now)
+                            x = p[0]
+                            y = p[1]
                     ddx = x - px
                     ddy = y - py
                     if ddx * ddx + ddy * ddy > r2:
@@ -592,41 +570,7 @@ class Medium:
                     for other in ongoing:
                         other.corrupted = True
                 ongoing.append(rec)
-                # Begin the reception (base is IDLE, not transmitting —
-                # established above) with ``BatteryMonitor.set_draw``
-                # flattened in: one radio mode flip per receiver per
-                # frame makes this the hottest call chain of a run, and
-                # the arithmetic is kept bit-identical.
-                radio.rx_count += 1
-                if radio._effective is not rx_mode:
-                    old = radio._effective
-                    radio._effective = rx_mode
-                    monitor = radio.monitor
-                    battery = monitor.battery
-                    watts = radio._p_rx
-                    if watts < 0:
-                        raise ValueError("draw cannot be negative")
-                    last = battery._last_t
-                    if now < last:
-                        raise ValueError(
-                            f"time went backwards: {now} < {last}"
-                        )
-                    if battery.infinite:
-                        battery._last_t = now
-                    else:
-                        battery._remaining -= battery._draw_w * (now - last)
-                        if battery._remaining <= 1e-12:
-                            battery._remaining = 0.0
-                            battery.depleted = True
-                        battery._last_t = now
-                    battery._draw_w = watts
-                    if battery.depleted:
-                        monitor._fire_depleted()
-                    elif not monitor._check_pending:
-                        monitor._book_check()
-                    cb = radio.on_mode_change
-                    if cb is not None:
-                        cb(old, rx_mode)
+                radio._update()
                 receptions_append(rec)
 
     def _add_active(self, tx: _Transmission) -> None:
@@ -649,47 +593,13 @@ class Medium:
         stats = self.stats
         sender_id = tx.sender.node_id
         idle = RadioMode.IDLE
-        rx_mode = RadioMode.RX
-        now = self.sim.now
         for rec in tx.receptions:
             radio = rec.receiver
-            # End the reception: dropping the last reception of an
-            # RX-mode radio returns it to IDLE (an RX effective mode
-            # implies base IDLE and not transmitting); every other state
-            # is unchanged.  ``set_draw`` is flattened in as in
-            # ``_receive``.
-            count = radio.rx_count
-            if count > 0:
-                radio.rx_count = count - 1
-                if count == 1 and radio._effective is rx_mode:
-                    radio._effective = idle
-                    monitor = radio.monitor
-                    battery = monitor.battery
-                    watts = radio._p_idle
-                    if watts < 0:
-                        raise ValueError("draw cannot be negative")
-                    last = battery._last_t
-                    if now < last:
-                        raise ValueError(
-                            f"time went backwards: {now} < {last}"
-                        )
-                    if battery.infinite:
-                        battery._last_t = now
-                    else:
-                        battery._remaining -= battery._draw_w * (now - last)
-                        if battery._remaining <= 1e-12:
-                            battery._remaining = 0.0
-                            battery.depleted = True
-                        battery._last_t = now
-                    battery._draw_w = watts
-                    if battery.depleted:
-                        monitor._fire_depleted()
-                    elif not monitor._check_pending:
-                        monitor._book_check()
-                    cb = radio.on_mode_change
-                    if cb is not None:
-                        cb(rx_mode, idle)
-            radio.rx_recs.remove(rec)
+            # Only the last reception's end can change the radio's mode.
+            ongoing = radio.rx_recs
+            ongoing.remove(rec)
+            if not ongoing:
+                radio._update()
             if rec.corrupted:
                 stats.frames_corrupted += 1
                 continue

@@ -7,7 +7,8 @@ OFF) with transient transmit/receive activity:
 - receiving (>=1 frames) -> RX   (includes overhearing neighbors' frames)
 - otherwise              -> base mode
 
-Every effective-mode change updates the battery draw through the node's
+Every state change ends in :meth:`Radio._update`, the one place the
+effective mode changes: it switches the battery draw through the node's
 :class:`~repro.energy.accounting.BatteryMonitor`, so energy is the exact
 integral of the mode timeline.  Overhearing is charged at RX power —
 this is the physical effect that makes always-on protocols (GRID) burn
@@ -16,13 +17,24 @@ through batteries, i.e. the phenomenon the paper is about.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.energy.accounting import BatteryMonitor
 from repro.energy.profile import PowerProfile, RadioMode
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.mobility.base import MobilityModel
+
 #: Sink invoked with (payload, sender_id) when a frame is received intact.
 FrameSink = Callable[[object, int], None]
+
+# The modes as module globals: ``_update`` runs on every mode flip, and
+# a global read is far cheaper than an enum class attribute lookup.
+_OFF = RadioMode.OFF
+_SLEEP = RadioMode.SLEEP
+_IDLE = RadioMode.IDLE
+_RX = RadioMode.RX
+_TX = RadioMode.TX
 
 
 class Radio:
@@ -31,28 +43,22 @@ class Radio:
     def __init__(
         self,
         node_id: int,
-        position_fn: Callable[[], object],
+        mobility: "MobilityModel",
         profile: PowerProfile,
         monitor: BatteryMonitor,
-        mobility: Optional[object] = None,
     ) -> None:
         self.node_id = node_id
-        self.position_fn = position_fn
-        #: The node's mobility model, when one exists.  The medium's
-        #: neighbor loops use it to query positions with a single call
-        #: (``mobility.position(now)``) instead of going through
-        #: ``position_fn``; both paths return the identical value.
+        #: The node's mobility model: :meth:`position` and the medium's
+        #: neighbor loops read the radio's position from it.
         self.mobility = mobility
         self.profile = profile
         self.monitor = monitor
-        self.base_mode = RadioMode.IDLE
+        self.base_mode = _IDLE
         self.transmitting = False
-        #: Frames being received now.  This count and ``rx_recs`` are
-        #: kept by :class:`~repro.phy.medium.Medium`, whose receiver
-        #: loops also make the IDLE <-> RX flips inline.
-        self.rx_count = 0
         #: The medium's in-flight receptions at this radio (a second
-        #: overlapping frame corrupts them all).
+        #: overlapping frame corrupts them all), kept by
+        #: :class:`~repro.phy.medium.Medium`.  RX lasts while it is
+        #: non-empty and the base mode is IDLE.
         self.rx_recs: List[object] = []
         self.frame_sink: Optional[FrameSink] = None
         self.on_mode_change: Optional[Callable[[RadioMode, RadioMode], None]] = None
@@ -61,16 +67,16 @@ class Radio:
         #: awake/asleep partition of its cell's bucket is rebuilt.  The
         #: transient TX/RX activity never fires it.
         self.on_base_mode_flip: Optional[Callable[["Radio"], None]] = None
-        self._effective = RadioMode.IDLE
+        self._effective = _IDLE
         # Watts per mode, precomputed: ``_update`` runs for every frame
         # overheard by every receiver, and the profile is immutable.
         # Plain floats skip an enum-keyed dict (enum __hash__ is
         # measurable at half a million draw switches per run).
-        self._p_tx = profile.total_power(RadioMode.TX)
-        self._p_rx = profile.total_power(RadioMode.RX)
-        self._p_idle = profile.total_power(RadioMode.IDLE)
-        self._p_sleep = profile.total_power(RadioMode.SLEEP)
-        self._p_off = profile.total_power(RadioMode.OFF)
+        self._p_tx = profile.total_power(_TX)
+        self._p_rx = profile.total_power(_RX)
+        self._p_idle = profile.total_power(_IDLE)
+        self._p_sleep = profile.total_power(_SLEEP)
+        self._p_off = profile.total_power(_OFF)
         # Establish the initial (idle) draw.
         self.monitor.set_draw(self._p_idle)
 
@@ -85,44 +91,43 @@ class Radio:
     @property
     def awake(self) -> bool:
         """True when the transceiver is powered (can sense/tx/rx)."""
-        return self.base_mode is RadioMode.IDLE
+        return self.base_mode is _IDLE
 
     @property
     def alive(self) -> bool:
-        return self.base_mode is not RadioMode.OFF
+        return self.base_mode is not _OFF
 
     def position(self):
-        """Current world position (delegates to the node's mobility)."""
-        return self.position_fn()
+        """Current world position (from the node's mobility model)."""
+        return self.mobility.position(self.monitor.sim.now)
 
     # ------------------------------------------------------------------
     # Protocol-driven base mode
     # ------------------------------------------------------------------
     def sleep(self) -> None:
-        """Power the transceiver down (host stays alive; RAS still works)."""
-        if self.base_mode is RadioMode.OFF:
+        """Power the transceiver down (host stays alive; RAS still works).
+
+        In-flight receptions stay in ``rx_recs`` until their frames end;
+        the medium checks the base mode only then."""
+        if self.base_mode is _OFF:
             return
-        self.base_mode = RadioMode.SLEEP
-        # Any in-flight receptions are lost; the medium checks the base
-        # mode when each frame ends.
-        self.rx_count = 0
+        self.base_mode = _SLEEP
         self._update()
         if self.on_base_mode_flip is not None:
             self.on_base_mode_flip(self)
 
     def wake(self) -> None:
         """Power the transceiver up into idle."""
-        if self.base_mode is RadioMode.OFF:
+        if self.base_mode is _OFF:
             return
-        self.base_mode = RadioMode.IDLE
+        self.base_mode = _IDLE
         self._update()
         if self.on_base_mode_flip is not None:
             self.on_base_mode_flip(self)
 
     def power_off(self) -> None:
         """Battery exhausted: the radio is gone for good."""
-        self.base_mode = RadioMode.OFF
-        self.rx_count = 0
+        self.base_mode = _OFF
         self.transmitting = False
         self._update()
         if self.on_base_mode_flip is not None:
@@ -132,8 +137,7 @@ class Radio:
         """Inverse of :meth:`power_off` for revived hosts (failure
         injection).  The monitor must be re-armed *before* this call so
         the fresh idle draw books its depletion checks."""
-        self.base_mode = RadioMode.IDLE
-        self.rx_count = 0
+        self.base_mode = _IDLE
         self.transmitting = False
         self._update()
         if self.on_base_mode_flip is not None:
@@ -152,19 +156,21 @@ class Radio:
 
     # ------------------------------------------------------------------
     def _update(self) -> None:
+        """Re-derive the effective mode after any state change; the one
+        place a radio's mode, and so its battery draw, changes."""
         base = self.base_mode
-        if base is RadioMode.OFF:
-            eff = RadioMode.OFF
+        if base is _OFF:
+            eff = _OFF
             watts = self._p_off
         elif self.transmitting:
-            eff = RadioMode.TX
+            eff = _TX
             watts = self._p_tx
-        elif self.rx_count > 0 and base is RadioMode.IDLE:
-            eff = RadioMode.RX
+        elif self.rx_recs and base is _IDLE:
+            eff = _RX
             watts = self._p_rx
         else:
             eff = base
-            watts = self._p_idle if base is RadioMode.IDLE else self._p_sleep
+            watts = self._p_idle if base is _IDLE else self._p_sleep
         if eff is self._effective:
             return
         old = self._effective

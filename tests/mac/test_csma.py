@@ -9,6 +9,7 @@ from repro.energy.profile import PAPER_PROFILE
 from repro.geo.grid import GridMap
 from repro.geo.vector import Vec2
 from repro.mac.csma import CsmaMac, MacConfig
+from repro.mobility.static import StaticPosition
 from repro.net.packet import BROADCAST
 from repro.phy.medium import Medium
 from repro.phy.radio import Radio
@@ -22,7 +23,7 @@ def build(positions, mac_config=None):
     for i, (x, y) in enumerate(positions):
         battery = Battery(500.0)
         mon = BatteryMonitor(sim, battery, max_draw_w=1.433)
-        radio = Radio(i, lambda p=Vec2(x, y): p, PAPER_PROFILE, mon)
+        radio = Radio(i, StaticPosition(Vec2(x, y)), PAPER_PROFILE, mon)
         medium.register(radio)
         mac = CsmaMac(sim, radio, medium, sim.rng.stream(f"mac-{i}"), mac_config)
         inbox = []

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.energy.profile import PAPER_PROFILE, RadioMode
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_network
 from repro.metrics.modes import ModeTracker
 
 from tests.helpers import make_static_network
@@ -53,3 +55,28 @@ def test_dead_nodes_accumulate_off_time():
     net.run(until=60.0)
     times = tracker.node_times(0)
     assert times.get(RadioMode.OFF, 0.0) > 40.0
+
+
+@pytest.mark.parametrize("protocol", ["ecgrid", "grid"])
+def test_energy_is_the_integral_of_the_mode_timeline(protocol):
+    # A mobile network with traffic and overhearing; every host has a
+    # finite battery and outlives the horizon.  Each mode flip, the
+    # medium's RX flips included, must reach the tracker and the
+    # battery alike.
+    net = build_network(ExperimentConfig(
+        protocol=protocol, n_hosts=30, width_m=500.0, height_m=500.0,
+        n_flows=3, sim_time_s=60.0, seed=2,
+    ))
+    tracker = ModeTracker(net.sim, net.nodes)
+    net.run(until=60.0)
+    assert all(node.alive for node in net.nodes)
+    assert tracker.total_times().get(RadioMode.RX, 0.0) > 0.0
+    now = net.sim.now
+    for node in net.nodes:
+        expected = sum(
+            t * PAPER_PROFILE.total_power(mode)
+            for mode, t in tracker.node_times(node.id).items()
+        )
+        assert node.battery.consumed_at(now) == pytest.approx(
+            expected, rel=1e-9
+        ), node.id

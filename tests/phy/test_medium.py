@@ -9,6 +9,7 @@ from repro.energy.profile import PAPER_PROFILE, RadioMode
 from repro.geo.grid import GridMap
 from repro.geo.vector import Vec2
 from repro.mac.frames import AckFrame
+from repro.mobility.static import StaticPosition
 from repro.phy.medium import Medium, MediumConfig
 from repro.phy.radio import Radio
 
@@ -21,7 +22,7 @@ def build(positions, **config_kw):
     for i, (x, y) in enumerate(positions):
         battery = Battery(500.0)
         mon = BatteryMonitor(sim, battery, max_draw_w=1.433)
-        r = Radio(i, lambda p=Vec2(x, y): p, PAPER_PROFILE, mon)
+        r = Radio(i, StaticPosition(Vec2(x, y)), PAPER_PROFILE, mon)
         medium.register(r)
         radios.append(r)
     return sim, medium, radios
@@ -175,8 +176,8 @@ def test_channel_busy_sensing():
 
 def test_update_cell_moves_bucket():
     sim, medium, (a, b) = build([(100, 100), (200, 100)])
-    # Simulate b moving out of range by changing its position provider.
-    b.position_fn = lambda: Vec2(900.0, 900.0)
+    # Simulate b moving out of range by changing its mobility model.
+    b.mobility = StaticPosition(Vec2(900.0, 900.0))
     medium.update_cell(b)
     inbox = attach_inbox(b)
     medium.transmit(a, "x", 64)

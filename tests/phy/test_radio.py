@@ -7,6 +7,7 @@ from repro.energy.accounting import BatteryMonitor
 from repro.energy.battery import Battery
 from repro.energy.profile import PAPER_PROFILE, RadioMode
 from repro.geo.vector import Vec2
+from repro.mobility.static import StaticPosition
 from repro.phy.radio import Radio
 from tests.phy.test_medium import HIDDEN, attach_inbox, build
 
@@ -15,7 +16,7 @@ def make_radio(capacity=500.0):
     sim = Simulator()
     battery = Battery(capacity)
     mon = BatteryMonitor(sim, battery, max_draw_w=1.433)
-    radio = Radio(1, lambda: Vec2(0.0, 0.0), PAPER_PROFILE, mon)
+    radio = Radio(1, StaticPosition(Vec2(0.0, 0.0)), PAPER_PROFILE, mon)
     return sim, battery, radio
 
 
@@ -48,7 +49,7 @@ def test_tx_overrides_everything():
     assert battery.draw_w == pytest.approx(0.863)
 
 
-def test_rx_counting_supports_overlap():
+def test_overlapping_receptions_hold_rx():
     sim, medium, (a, b, c) = build(HIDDEN)
     inbox = attach_inbox(c)
     battery = c.monitor.battery
@@ -65,6 +66,24 @@ def test_rx_counting_supports_overlap():
     assert battery.draw_w == pytest.approx(0.863)
     assert inbox == []  # the overlap corrupted both
     assert medium.stats.frames_corrupted == 2
+
+
+def test_sleep_and_wake_inside_a_frame_keep_a_later_reception_in_rx():
+    # c sleeps and wakes inside a's frame, and b's frame reaches c
+    # before a's ends.  The end of a's frame must not end c's RX while
+    # b's frame is still on the air.
+    sim, medium, (a, b, c) = build([(100, 100), (300, 100), (200, 100)])
+    battery = c.monitor.battery
+    medium.transmit(a, "first", 1000)  # on the air until 4 ms
+    sim.at(0.001, c.sleep)
+    sim.at(0.002, c.wake)
+    sim.at(0.0035, medium.transmit, b, "second", 1000)  # until 7.5 ms
+    sim.run(until=0.005)
+    assert c.mode is RadioMode.RX
+    assert battery.draw_w == pytest.approx(1.033)
+    sim.run(until=0.008)
+    assert c.mode is RadioMode.IDLE
+    assert battery.draw_w == pytest.approx(0.863)
 
 
 def test_sleep_clears_receptions_and_draws_sleep_power():

@@ -8,6 +8,7 @@ from repro.energy.battery import Battery
 from repro.energy.profile import PAPER_PROFILE
 from repro.geo.grid import GridMap
 from repro.geo.vector import Vec2
+from repro.mobility.static import StaticPosition
 from repro.phy.medium import Medium
 from repro.phy.ras import RasChannel, RasConfig
 from repro.phy.radio import Radio
@@ -22,7 +23,7 @@ def build(positions):
     for i, (x, y) in enumerate(positions):
         battery = Battery(500.0)
         mon = BatteryMonitor(sim, battery, max_draw_w=1.433)
-        r = Radio(i, lambda p=Vec2(x, y): p, PAPER_PROFILE, mon)
+        r = Radio(i, StaticPosition(Vec2(x, y)), PAPER_PROFILE, mon)
         medium.register(r)
         log = []
         ras.attach(i, r, lambda broadcast, log=log: log.append(broadcast))

@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.des.core import Simulator
+from repro.energy.accounting import BatteryMonitor
 from repro.energy.battery import Battery
 from repro.energy.profile import level_of, EnergyLevel
 from repro.geo.grid import GridMap, max_grid_side
@@ -94,12 +95,15 @@ def test_events_always_execute_in_nondecreasing_time_order(times):
     )
 )
 def test_battery_monotone_nonincreasing_and_nonnegative(draws):
+    sim = Simulator()
     battery = Battery(500.0)
+    monitor = BatteryMonitor(sim, battery, max_draw_w=5.0)
     t = 0.0
     prev = 500.0
     for watts, dt in draws:
         t += dt
-        battery.set_draw(watts, t)
+        sim.run(until=t)
+        monitor.set_draw(watts)
         rem = battery.remaining_at(t)
         assert 0.0 <= rem <= prev + 1e-9
         prev = rem

@@ -24,6 +24,7 @@ from repro.energy.battery import Battery
 from repro.energy.profile import PAPER_PROFILE, RadioMode
 from repro.geo.grid import GridMap
 from repro.geo.vector import Vec2
+from repro.mobility.static import StaticPosition
 from repro.mobility.waypoint import RandomWaypoint
 from repro.phy.medium import Medium, MediumConfig
 from repro.phy.radio import Radio
@@ -46,15 +47,10 @@ def build_world(n, seed, moving=True):
                 min_speed=0.5, max_speed=5.0,
             )
         else:
-            p = Vec2(rng.uniform(0, AREA), rng.uniform(0, AREA))
-            mob = None
-        if mob is not None:
-            r = Radio(
-                i, lambda m=mob: m.position(sim.now), PAPER_PROFILE, mon,
-                mobility=mob,
+            mob = StaticPosition(
+                Vec2(rng.uniform(0, AREA), rng.uniform(0, AREA))
             )
-        else:
-            r = Radio(i, lambda p=p: p, PAPER_PROFILE, mon)
+        r = Radio(i, mob, PAPER_PROFILE, mon)
         medium.register(r)
         radios.append(r)
     return sim, medium, radios
