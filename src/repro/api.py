@@ -205,17 +205,14 @@ def sweep(
 
     Pass a configured ``runner`` to control pooling/caching yourself;
     otherwise one is built from ``workers``/``cache``/``timeout_s``/
-    ``progress`` and shut down when the sweep finishes.
+    ``progress``.
     """
-    if runner is not None:
-        return runner.run(spec)
-    runner = SweepRunner(
-        workers=workers, cache=cache, timeout_s=timeout_s, progress=progress
-    )
-    try:
-        return runner.run(spec)
-    finally:
-        runner.shutdown(wait=True)
+    if runner is None:
+        runner = SweepRunner(
+            workers=workers, cache=cache, timeout_s=timeout_s,
+            progress=progress,
+        )
+    return runner.run(spec)
 
 
 def load_result(

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -59,6 +59,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -77,6 +78,7 @@ from repro.experiments.sweep import (
     SweepSpec,
     resolve_config,
 )
+from repro.records import decode
 
 __all__ = [
     "GATE_SCALARS",
@@ -166,42 +168,6 @@ class ReplicationPolicy:
         alpha = (1.0 - self.confidence) / self.looks()
         return 1.0 - alpha / 2.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "target_ci": self.target_ci,
-            "min_seeds": self.min_seeds,
-            "max_seeds": self.max_seeds,
-            "batch": self.batch,
-            "confidence": self.confidence,
-            "gate_scalars": list(self.gate_scalars),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ReplicationPolicy":
-        known = {
-            "target_ci", "min_seeds", "max_seeds", "batch", "confidence",
-            "gate_scalars",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown adaptive policy field(s) {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        if "target_ci" not in data:
-            raise ValueError("adaptive policy needs 'target_ci'")
-        gate = data.get("gate_scalars")
-        return cls(
-            target_ci=float(data["target_ci"]),
-            min_seeds=int(data.get("min_seeds", 3)),
-            max_seeds=int(data.get("max_seeds", 16)),
-            batch=int(data.get("batch", 2)),
-            confidence=float(data.get("confidence", 0.95)),
-            gate_scalars=(
-                tuple(gate) if gate else DEFAULT_GATE_SCALARS
-            ),
-        )
-
 
 def _jsonable(value: Any) -> Any:
     """Axis values as JSON-serializable report entries (fault plans and
@@ -286,7 +252,7 @@ class PrecisionReport:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "policy": self.policy.to_dict(),
+            "policy": asdict(self.policy),
             "looks": self.looks,
             "planned_looks": self.policy.looks(),
             "total_runs": self.total_runs,
@@ -298,11 +264,34 @@ class PrecisionReport:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PrecisionReport":
         return cls(
-            policy=ReplicationPolicy.from_dict(data["policy"]),
+            policy=decode(ReplicationPolicy, data["policy"]),
             arms=list(data["arms"]),
             deltas=list(data.get("deltas", [])),
             looks=int(data["looks"]),
             total_runs=int(data["total_runs"]),
+        )
+
+    @classmethod
+    def merge(
+        cls, parts: Sequence[Tuple[str, "PrecisionReport"]]
+    ) -> "PrecisionReport":
+        """One report over several adaptive sweeps run under one policy,
+        each given as ``(label, report)``: every arm key, and both arm
+        keys of every delta, become ``{label};{key}``."""
+        return cls(
+            policy=parts[0][1].policy,
+            arms=[
+                {**arm, "key": f"{label};{arm['key']}"}
+                for label, report in parts
+                for arm in report.arms
+            ],
+            deltas=[
+                {**delta, "arms": [f"{label};{k}" for k in delta["arms"]]}
+                for label, report in parts
+                for delta in report.deltas
+            ],
+            looks=max(report.looks for _, report in parts),
+            total_runs=sum(report.total_runs for _, report in parts),
         )
 
     def summary(self) -> str:
@@ -381,15 +370,6 @@ class AdaptiveRunner:
     @property
     def workers(self) -> int:
         return self.runner.workers
-
-    def shutdown(self, wait: bool = True) -> None:
-        self.runner.shutdown(wait=wait)
-
-    def __enter__(self) -> "AdaptiveRunner":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(wait=exc_type is None)
 
     # -- execution ------------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepRun:

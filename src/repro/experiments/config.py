@@ -14,13 +14,14 @@ import hashlib
 import importlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Literal, Mapping, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.protocols.base import ProtocolParams
 from repro.protocols.gaf import GafParams
+from repro.records import check, decode
 
 #: Every registered protocol: name -> (module, class).  A class is its
 #: own factory, ``cls(node, params, counters)``; its module loads on
@@ -101,7 +102,7 @@ class ExperimentConfig:
     packet_bytes: int = 512
     # -- channel ---------------------------------------------------------
     #: "unit_disk" or "gray_zone" (lossy fringe; robustness studies).
-    loss_model: str = "unit_disk"
+    loss_model: Literal["unit_disk", "gray_zone"] = "unit_disk"
     # -- run -----------------------------------------------------------
     sim_time_s: float = 2000.0
     seed: int = 1
@@ -124,16 +125,15 @@ class ExperimentConfig:
     gaf: GafParams = field(default_factory=GafParams)
 
     def validate(self) -> None:
+        # Every field has its annotated type, nested tunables and fault
+        # events included, and every float is finite: JSON accepts
+        # Infinity and NaN, and an infinite horizon or rate, or a zero
+        # sample interval, gives a run that never ends.
+        check(self)
         if self.protocol not in PROTOCOLS:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"
             )
-        # JSON accepts Infinity and NaN.  An infinite horizon or rate, or
-        # a zero sample interval, gives a run that never ends.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_flows < 0 or self.sim_time_s <= 0:
             raise ValueError("need n_flows >= 0 and sim_time_s > 0")
         if self.sample_interval_s <= 0 or self.flow_rate_pps <= 0:
@@ -194,13 +194,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        """Inverse of :meth:`to_dict` (rebuilds nested param objects)."""
-        d = dict(data)
-        d["params"] = ProtocolParams(**d.get("params", {}))
-        d["gaf"] = GafParams(**d.get("gaf", {}))
-        faults = d.get("faults")
-        d["faults"] = FaultPlan.from_dict(faults) if faults else None
-        return cls(**d)
+        """Inverse of :meth:`to_dict`, type-checked field by field
+        (:func:`repro.records.decode`)."""
+        return decode(cls, data)
 
     def cache_key(self) -> str:
         """Stable content hash of the fully-resolved config.

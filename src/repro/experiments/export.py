@@ -19,10 +19,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Sequence, Tuple
+from dataclasses import fields
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Tuple
 
-from repro.experiments.config import ExperimentConfig
 from repro.metrics.timeseries import TimeSeries
+from repro.records import decode, decode_as
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.figures import FigureData
@@ -46,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #:    must treat both keys as optional (see docs/sweeps.md).
 RESULT_SCHEMA = 3
 
+#: A time series' JSON form: its ``(t, value)`` rows.
+_ROWS = List[Tuple[float, float]]
+
 __all__ = [
     "RESULT_SCHEMA",
     "result_to_dict",
@@ -59,53 +63,31 @@ __all__ = [
 
 
 def result_to_dict(result: "ExperimentResult") -> Dict[str, Any]:
-    """A JSON-serializable record of one run (schema-versioned).
+    """A JSON-serializable record of one run (schema-versioned): every
+    :class:`ExperimentResult` field, the config as its dict and each
+    time series as its ``(t, value)`` rows.
 
     Runs scored by the partition evaluator (``evaluate_partition``
     configs) additionally carry a ``"partition"`` key — additive and
     conditional like the adaptive ``"ci"``/``"precision"`` figure keys,
     so unscored records stay byte-identical on schema v3.
     """
-    cfg = result.config.to_dict()
-    # Nested param dataclasses serialize too (to_dict recurses).
-    record = {
-        "schema": RESULT_SCHEMA,
-        "kind": "result",
-        "config": cfg,
-        "sent": result.sent,
-        "delivered": result.delivered,
-        "delivery_rate": result.delivery_rate,
-        "delivery_rate_pre_death": result.delivery_rate_pre_death,
-        "mean_latency_s": result.mean_latency_s,
-        "latency_p95_s": result.latency_p95_s,
-        "mean_hops": result.mean_hops,
-        "duplicates": result.duplicates,
-        "first_death_s": result.first_death_s,
-        "all_dead_s": result.all_dead_s,
-        "alive_fraction": result.alive_fraction.rows(),
-        "aen": result.aen.rows(),
-        "counters": result.counters,
-        "medium": result.medium,
-        "dropped": result.dropped,
-        "drop_reasons": result.drop_reasons,
-        "recovery": result.recovery,
-        "events_executed": result.events_executed,
-        "wall_time_s": result.wall_time_s,
-    }
-    if result.partition:
-        record["partition"] = dict(result.partition)
+    record: Dict[str, Any] = {"schema": RESULT_SCHEMA, "kind": "result"}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, TimeSeries):
+            value = value.rows()
+        elif f.name == "config":
+            value = value.to_dict()
+        elif f.name == "partition" and not value:
+            continue
+        record[f.name] = value
     return record
 
 
-def _series(name: str, rows: Sequence[Tuple[float, float]]) -> TimeSeries:
-    ts = TimeSeries(name)
-    for t, v in rows:
-        ts.append(t, v)
-    return ts
-
-
 def result_from_dict(data: Mapping[str, Any]) -> "ExperimentResult":
-    """Rebuild an :class:`ExperimentResult` from :func:`result_to_dict`.
+    """Rebuild an :class:`ExperimentResult` from :func:`result_to_dict`,
+    type-checked field by field (:func:`repro.records.decode`).
 
     Raises :class:`ValueError` on a schema mismatch so callers (the
     cache) can treat stale records as misses instead of mis-reading
@@ -121,29 +103,14 @@ def result_from_dict(data: Mapping[str, Any]) -> "ExperimentResult":
         raise ValueError(
             f"record kind {data.get('kind')!r} is not a result record"
         )
-    return ExperimentResult(
-        config=ExperimentConfig.from_dict(data["config"]),
-        alive_fraction=_series("alive_fraction", data["alive_fraction"]),
-        aen=_series("aen", data["aen"]),
-        sent=data["sent"],
-        delivered=data["delivered"],
-        delivery_rate=data["delivery_rate"],
-        delivery_rate_pre_death=data["delivery_rate_pre_death"],
-        mean_latency_s=data["mean_latency_s"],
-        latency_p95_s=data["latency_p95_s"],
-        mean_hops=data["mean_hops"],
-        duplicates=data["duplicates"],
-        first_death_s=data["first_death_s"],
-        all_dead_s=data["all_dead_s"],
-        counters=dict(data["counters"]),
-        medium=dict(data["medium"]),
-        dropped=data["dropped"],
-        drop_reasons=dict(data["drop_reasons"]),
-        recovery=dict(data["recovery"]),
-        partition=dict(data.get("partition", {})),
-        events_executed=data["events_executed"],
-        wall_time_s=data["wall_time_s"],
-    )
+    body = {k: v for k, v in data.items() if k not in ("schema", "kind")}
+    for name in ("alive_fraction", "aen"):
+        if name in body:
+            series = TimeSeries(name)
+            for t, v in decode_as(_ROWS, body[name], name):
+                series.append(t, v)
+            body[name] = series
+    return decode(ExperimentResult, body)
 
 
 def result_to_json(result: "ExperimentResult", indent: int = 2) -> str:

@@ -31,7 +31,11 @@ from typing import (
     Tuple,
 )
 
-from repro.experiments.adaptive import AdaptiveRunner, ReplicationPolicy
+from repro.experiments.adaptive import (
+    AdaptiveRunner,
+    PrecisionReport,
+    ReplicationPolicy,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import format_series_table
 from repro.experiments.runner import ExperimentResult
@@ -114,7 +118,8 @@ def _assemble(
             per_label.setdefault(label, {}).setdefault(seed, []).append((x, y))
         results[point.key()] = result
     return _reduce_seeds(
-        figure_id, title, x_label, y_label, per_label, results, seeds
+        figure_id, title, x_label, y_label, per_label, results, seeds,
+        run.precision,
     )
 
 
@@ -126,11 +131,13 @@ def _reduce_seeds(
     per_label: Dict[str, Dict[int, Series]],
     results: Dict[str, ExperimentResult],
     seeds: Sequence[int],
+    precision: Optional[Dict[str, Any]],
 ) -> FigureData:
     """The one reduction every figure ends in: ``per_label[label][seed]``
     holds one seed's (x, y) points of a curve; ``raw`` keeps the sorted
     per-seed curves in ``seeds`` order (seeds without points skipped),
-    ``series`` their pointwise mean and ``bands`` their stddev."""
+    ``series`` their pointwise mean and ``bands`` their stddev.
+    ``precision`` is the adaptive report of the sweeps behind it."""
     series: Dict[str, Series] = {}
     bands: Dict[str, Series] = {}
     raw: Dict[str, List[Series]] = {}
@@ -141,7 +148,7 @@ def _reduce_seeds(
         bands[label] = stddev_series(replicates)
     return FigureData(
         figure_id, title, x_label, y_label,
-        series, results, bands, raw, list(seeds),
+        series, results, bands, raw, list(seeds), precision=precision,
     )
 
 
@@ -590,10 +597,9 @@ def _election_faceoff(
     ``lifetime_frac`` (first host death as a fraction of the horizon,
     1.0 = nobody died).  Scenario shapes default to the paper baseline
     (``cruise``), an 8 m/s high-churn variant (``sprint``), and a
-    pause-dominated near-static variant (``parked``).
-
-    Under adaptive replication each scenario is its own sweep, so the
-    attached precision report covers the *last* scenario's arms.
+    pause-dominated near-static variant (``parked``).  Under adaptive
+    replication the precision report merges every scenario's sweep,
+    each arm keyed ``scenario={name};...``.
     """
     if scenarios is None:
         scenarios = (
@@ -612,6 +618,7 @@ def _election_faceoff(
         )
     per_label: Dict[str, Dict[int, Series]] = {}
     results: Dict[str, ExperimentResult] = {}
+    reports: List[Tuple[str, PrecisionReport]] = []
     for x, (scenario, overrides) in enumerate(scenarios):
         base = _base(
             speed, scale, seeds[0],
@@ -625,6 +632,11 @@ def _election_faceoff(
                 "seed": list(seeds),
             },
         ))
+        if run.precision is not None:
+            reports.append((
+                f"scenario={scenario}",
+                PrecisionReport.from_dict(run.precision),
+            ))
         for outcome in run.outcomes:
             point, result = outcome.point, outcome.result
             policy = point.axes["params.election_policy"]
@@ -657,6 +669,7 @@ def _election_faceoff(
         per_label,
         results,
         seeds,
+        PrecisionReport.merge(reports).to_dict() if reports else None,
     )
 
 
@@ -738,12 +751,9 @@ def figure(
         # The spec's seed axis is the full allocatable pool; the
         # scheduler decides the prefix each arm actually runs.
         seed_list = list(range(seed, seed + engine.policy.max_seeds))
-        mark = len(engine.reports)
         fig = FIGURES[key](engine, speed, scale, seed_list, **axes)
-        new_reports = engine.reports[mark:]
-        if new_reports:
-            report = new_reports[-1]
-            fig.precision = report.to_dict()
+        if fig.precision is not None:
+            report = PrecisionReport.from_dict(fig.precision)
             fig.seeds = report.used_seeds
             fig.title += (
                 f"  (adaptive: {report.total_runs} runs, "

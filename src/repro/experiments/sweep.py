@@ -30,23 +30,11 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
-
-if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import ProcessPoolExecutor
 
 #: Friendly axis spellings for the most-swept config fields.
 AXIS_ALIASES = {
@@ -224,17 +212,12 @@ class SweepRunner:
         that exceeds it is retried once inline.
     progress:
         Optional callback, see :data:`ProgressFn`.
-    keep_pool:
-        With ``True`` the process pool survives across :meth:`run`
-        calls (a long-lived server amortizes worker startup); the
-        owner must eventually call :meth:`shutdown`.  The default
-        tears the pool down at the end of every sweep, as before.
 
-    A runner is also a context manager (``with SweepRunner(4) as r:``)
-    and :meth:`shutdown` is idempotent and safe mid-sweep: a ctrl-C or
-    a hung worker abandons the pool with ``wait=False`` instead of
-    blocking in the executor join, and the next :meth:`run` simply
-    builds a fresh pool — nothing leaks on double-close.
+    A pooled :meth:`run` builds its process pool and shuts it down
+    before returning.  A ctrl-C, a hung worker or an aborting progress
+    callback abandons the pool (``wait=False``, pending points
+    cancelled) instead of blocking in the executor join; the runner
+    stays usable.
     """
 
     def __init__(
@@ -243,7 +226,6 @@ class SweepRunner:
         cache: Optional[ResultCache] = None,
         timeout_s: Optional[float] = None,
         progress: Optional[ProgressFn] = None,
-        keep_pool: bool = False,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
@@ -251,41 +233,8 @@ class SweepRunner:
         self.cache = cache
         self.timeout_s = timeout_s
         self.progress = progress
-        self.keep_pool = keep_pool
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._total = 0
         self._done = 0
-
-    # -- pool lifecycle ---------------------------------------------------
-    def _acquire_pool(self) -> ProcessPoolExecutor:
-        """The live pool, building one if needed (after shutdown too)."""
-        if self._pool is None:
-            # Imported here: multiprocessing is a large import that only
-            # pooled sweeps need.
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Release the process pool (idempotent; safe to call twice,
-        from ``finally`` blocks, or on a runner that never pooled).
-
-        ``wait=False`` abandons in-flight work: pending futures are
-        cancelled and worker processes are left to exit on their own —
-        the only safe option after an interrupt or a hung worker.
-        The runner itself stays usable; the next pooled :meth:`run`
-        starts a fresh pool.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=not wait)
-
-    def __enter__(self) -> "SweepRunner":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(wait=exc_type is None)
 
     def run(self, spec: SweepSpec) -> SweepRun:
         return self.run_points(spec, spec.expand())
@@ -387,10 +336,13 @@ class SweepRunner:
         pending: Sequence[SweepPoint],
         outcomes: List[Optional[SweepOutcome]],
     ) -> None:
+        # Imported here: multiprocessing is a large import that only
+        # pooled sweeps need.
+        from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures import TimeoutError as FuturesTimeout
 
         t0 = time.perf_counter()
-        pool = self._acquire_pool()
+        pool = ProcessPoolExecutor(max_workers=self.workers)
         clean = True
         try:
             futures = [(p, pool.submit(_execute, p.config)) for p in pending]
@@ -409,13 +361,8 @@ class SweepRunner:
                 self._finish(outcomes, point, result, t0, retried=False)
         except BaseException:
             # Ctrl-C mid-sweep, a failed retry, a progress callback
-            # aborting the run: never block in the executor join (the
-            # old behaviour hung until every in-flight point finished,
-            # leaking the pool if the join itself was interrupted).
+            # aborting the run: never block in the executor join.
             clean = False
             raise
         finally:
-            if not clean:
-                self.shutdown(wait=False)
-            elif not self.keep_pool:
-                self.shutdown(wait=True)
+            pool.shutdown(wait=clean, cancel_futures=not clean)

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Literal, Mapping, Optional, Sequence, Tuple, Type
+
+from repro.records import decode
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,11 @@ class FaultEvent:
     """Base class: every event carries a ``kind`` tag for JSON."""
 
     kind: str = field(init=False, default="")
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "FaultEvent":
+        """The event a JSON mapping describes (see :func:`event_from_dict`)."""
+        return event_from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ class Partition(FaultEvent):
 
     start_s: float = 0.0
     end_s: float = 0.0
-    axis: str = "x"
+    axis: Literal["x", "y"] = "x"
     boundary_m: float = 0.0
     kind: str = field(init=False, default="partition")
 
@@ -124,17 +131,17 @@ EVENT_TYPES: Dict[str, Type[FaultEvent]] = {
 
 
 def event_from_dict(data: Mapping[str, Any]) -> FaultEvent:
-    """Rebuild one event from its :func:`dataclasses.asdict` form."""
+    """Rebuild one event from its :func:`dataclasses.asdict` form: the
+    ``kind`` tag picks the class, which decodes the other fields."""
     d = dict(data)
     kind = d.pop("kind", None)
-    cls = EVENT_TYPES.get(kind)
+    cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(
-            f"unknown fault kind {kind!r}; choose from {sorted(EVENT_TYPES)}"
+            f"kind: unknown fault kind {kind!r}; "
+            f"choose from {sorted(EVENT_TYPES)}"
         )
-    if d.get("region") is not None:
-        d["region"] = tuple(d["region"])
-    return cls(**d)
+    return decode(cls, d)
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,7 @@ class FaultPlan:
     name: str = ""
 
     def __post_init__(self) -> None:
-        # Tolerate list input (e.g. hand-built plans, JSON loads).
+        # Tolerate list input from hand-built plans.
         if not isinstance(self.events, tuple):
             object.__setattr__(self, "events", tuple(self.events))
 
@@ -161,12 +168,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        return cls(
-            events=tuple(
-                event_from_dict(e) for e in data.get("events", ())
-            ),
-            name=data.get("name", ""),
-        )
+        return decode(cls, data)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

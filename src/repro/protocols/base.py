@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Literal
 
 from repro.energy.profile import EnergyLevel
 from repro.geo.grid import GridCoord
@@ -40,7 +40,7 @@ class ProtocolParams:
     #: RREQ confinement policy (§3.3 / GRID paper): "bbox" floods only
     #: the S-D bounding rectangle, "bbox_margin" adds a ring of
     #: ``search_margin_cells``, "global" never confines.
-    search_policy: str = "bbox_margin"
+    search_policy: Literal["bbox", "bbox_margin", "global"] = "bbox_margin"
     #: Extra ring of grids around the S-D bounding box searched by RREQ.
     search_margin_cells: int = 1
     #: Packets buffered per pending route discovery / sleeping neighbor.
@@ -56,7 +56,7 @@ class ProtocolParams:
     #: will leave the grid); "heuristic" is the paper's literal
     #: position+velocity extrapolation, which over-sleeps badly when
     #: the estimate is taken during a pause and the host then moves.
-    dwell_mode: str = "exact"
+    dwell_mode: Literal["exact", "heuristic"] = "exact"
     #: Routing-table entry lifetime without use.
     route_lifetime_s: float = 30.0
     #: How long a woken sender waits for the gateway's reply to ACQ

@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -44,6 +44,8 @@ from repro.serve.protocol import (
     ErrorView,
     ProtocolError,
     SubmitRequest,
+    parse_body,
+    read_body,
     sweep_envelope,
 )
 
@@ -211,7 +213,7 @@ class JobServer:
                         200,
                         {
                             "api_version": API_VERSION,
-                            "jobs": [v.to_dict() for v in views],
+                            "jobs": [asdict(v) for v in views],
                         },
                     )
                     return
@@ -237,14 +239,14 @@ class JobServer:
     ) -> None:
         if tail is None:
             if method == "GET":
-                self._write_json(writer, 200, self.table.view(job_id).to_dict())
+                self._write_json(writer, 200, asdict(self.table.view(job_id)))
                 return
             if method == "DELETE":
-                self._write_json(writer, 200, self.table.cancel(job_id).to_dict())
+                self._write_json(writer, 200, asdict(self.table.cancel(job_id)))
                 return
             raise ProtocolError(f"{method} not allowed here", status=405)
         if tail == "cancel" and method == "POST":
-            self._write_json(writer, 200, self.table.cancel(job_id).to_dict())
+            self._write_json(writer, 200, asdict(self.table.cancel(job_id)))
             return
         if method != "GET":
             raise ProtocolError(f"{method} not allowed here", status=405)
@@ -271,16 +273,13 @@ class JobServer:
     def _submit(
         self, writer: asyncio.StreamWriter, headers: Dict[str, str], body: bytes
     ) -> None:
-        try:
-            data = json.loads(body.decode("utf-8") or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"invalid JSON body: {exc}") from exc
+        data = parse_body(body)
         if isinstance(data, dict) and "tenant" not in data:
             tenant = headers.get("x-tenant")
             if tenant:
                 data["tenant"] = tenant
-        view = self.table.submit(SubmitRequest.from_dict(data))
-        self._write_json(writer, 201, view.to_dict())
+        view = self.table.submit(read_body(SubmitRequest, data))
+        self._write_json(writer, 201, asdict(view))
 
     def _result_payload(self, job_id: str) -> Dict[str, Any]:
         job = self.table.get(job_id)
@@ -355,7 +354,7 @@ class JobServer:
             error=_REASONS.get(exc.status, "Error"),
             detail=exc.detail if hasattr(exc, "detail") else str(exc),
         )
-        self._write_json(writer, exc.status, view.to_dict())
+        self._write_json(writer, exc.status, asdict(view))
 
 
 async def _serve_async(config: ServerConfig) -> None:

@@ -35,7 +35,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.api import (
@@ -49,7 +49,6 @@ from repro.api import figure as api_figure
 from repro.api import run as api_run
 from repro.serve.events import EventBroker, TraceRelay
 from repro.serve.protocol import (
-    FIGURE_POLICY_FIELDS,
     TERMINAL_STATES,
     JobProgress,
     JobView,
@@ -58,8 +57,8 @@ from repro.serve.protocol import (
     adaptive_from_payload,
     config_from_payload,
     figure_kwargs_from_payload,
+    figure_policy_fields,
     spec_from_payload,
-    spec_to_payload,
 )
 
 
@@ -239,12 +238,15 @@ class JobTable:
         self.broker.publish(
             job.job_id, "state", {"job_id": job.job_id, "state": job.state}
         )
+        # The view is taken before the executor sees the job, so a submit
+        # answers the state it left the job in, however the threads run.
+        view = job.view()
         if job.state == "done":
-            self.broker.publish(job.job_id, "end", job.view().to_dict())
+            self.broker.publish(job.job_id, "end", asdict(view))
             self.broker.close(job.job_id)
         else:
             self._executor.submit(self._work, job)
-        return job.view()
+        return view
 
     def _parse_work(self, request: SubmitRequest) -> Any:
         if request.kind == "run":
@@ -267,11 +269,7 @@ class JobTable:
             block = request.payload.get("adaptive")
             return None if block is None else adaptive_from_payload(block)
         if request.kind == "figure":
-            fields = {
-                k: request.payload[k]
-                for k in FIGURE_POLICY_FIELDS
-                if k in request.payload
-            }
+            fields = figure_policy_fields(request.payload)
             return adaptive_from_payload(fields) if fields else None
         return None
 
@@ -296,7 +294,7 @@ class JobTable:
         elif request.kind == "sweep":
             ident = {
                 "kind": "sweep",
-                "payload": spec_to_payload(work),
+                "payload": asdict(work),
                 "version": cache_version(),
             }
         else:
@@ -309,7 +307,7 @@ class JobTable:
         ident["trace_filter"] = request.trace_filter
         # Adaptive work never dedups against fixed-grid work (or
         # against a different stopping rule) on the same grid.
-        ident["adaptive"] = policy.to_dict() if policy else None
+        ident["adaptive"] = asdict(policy) if policy else None
         blob = json.dumps(
             ident, sort_keys=True, separators=(",", ":"), default=str
         )
@@ -370,7 +368,7 @@ class JobTable:
             self.broker.publish(
                 job.job_id,
                 "progress",
-                {"job_id": job.job_id, **job.progress.to_dict()},
+                {"job_id": job.job_id, **asdict(job.progress)},
             )
 
         return progress
@@ -385,7 +383,7 @@ class JobTable:
                 "progress",
                 {
                     "job_id": job.job_id,
-                    **job.progress.to_dict(),
+                    **asdict(job.progress),
                     "adaptive": {
                         "look": info["look"],
                         "seeds": dict(info["seeds"]),
@@ -411,20 +409,12 @@ class JobTable:
         return runner
 
     def _execute_sweep(self, job: Job) -> Any:
-        runner = self._runner(job)
-        try:
-            return runner.run(job.work)
-        finally:
-            runner.shutdown(wait=False)  # idempotent; frees a dead pool
+        return self._runner(job).run(job.work)
 
     def _execute_figure(self, job: Job) -> Any:
         kwargs = dict(job.work)
         name = kwargs.pop("name")
-        runner = self._runner(job)
-        try:
-            return api_figure(name, runner=runner, **kwargs)
-        finally:
-            runner.shutdown(wait=False)
+        return api_figure(name, runner=self._runner(job), **kwargs)
 
     # ------------------------------------------------------------------
     # State transitions
@@ -480,7 +470,7 @@ class JobTable:
         self.broker.publish(
             job.job_id, "state", {"job_id": job.job_id, "state": state}
         )
-        self.broker.publish(job.job_id, "end", job.view().to_dict())
+        self.broker.publish(job.job_id, "end", asdict(job.view()))
         self.broker.close(job.job_id)
 
     # ------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """The job server's typed wire protocol.
 
 Everything that crosses the HTTP boundary is a dataclass here with an
-explicit ``api_version``, and every dataclass round-trips through
-``to_dict``/``from_dict`` (tested in ``tests/serve/test_protocol.py``).
-Unknown fields, wrong kinds, and version skew fail loudly with a
-:class:`ProtocolError` carrying the HTTP status to answer with.
+explicit ``api_version``, and its field annotations are its schema.
+Responses are encoded with :func:`dataclasses.asdict`; request bodies
+and payloads are read with :func:`repro.records.decode` (through
+:func:`read_body`, after the version check), so unknown or missing
+fields, wrong types, unknown choices and version skew all fail loudly
+with a :class:`ProtocolError` carrying the HTTP status to answer with.
 
 The server's HTTP responses are the records the CLI's file export
 (:mod:`repro.experiments.export`) writes, stamped with the same
@@ -20,8 +22,19 @@ payload needs them, since each loads its own module on first use.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import (
+    Any,
+    Dict,
+    Literal,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+    get_args,
+)
 
 from repro.api import (
     RESULT_SCHEMA,
@@ -32,25 +45,26 @@ from repro.api import (
     result_to_dict,
 )
 from repro.obs.trace import CATEGORIES
+from repro.records import check, decode
 
 #: Version of the HTTP API surface (the ``/v1`` path prefix and every
 #: request/response layout in this module).  Bump only on breaking
 #: changes; additive response fields do not bump it.
 API_VERSION = 1
 
-#: Submittable job kinds.
-JOB_KINDS = ("run", "sweep", "figure")
+JobKind = Literal["run", "sweep", "figure"]
+JobState = Literal["queued", "running", "done", "failed", "cancelled"]
 
-#: The adaptive-policy fields a ``figure`` payload carries inline.
-FIGURE_POLICY_FIELDS = (
-    "target_ci", "max_seeds", "min_seeds", "batch", "confidence",
-)
+#: Submittable job kinds.
+JOB_KINDS = get_args(JobKind)
 
 #: Job lifecycle states.
-JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+JOB_STATES = get_args(JobState)
 
 #: States a job never leaves.
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+R = TypeVar("R")
 
 
 class ProtocolError(ValueError):
@@ -63,13 +77,30 @@ class ProtocolError(ValueError):
         self.detail = detail
 
 
-def _require_version(data: Mapping[str, Any], what: str) -> None:
+def parse_body(body: bytes) -> Any:
+    """The JSON value of a request body (an empty body reads as ``{}``)."""
+    try:
+        return json.loads(body.decode("utf-8") or "{}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"invalid JSON body: {exc}") from exc
+
+
+def read_body(cls: Type[R], data: Any) -> R:
+    """The ``cls`` record a parsed JSON body describes: the
+    ``api_version`` check, then :func:`~repro.records.decode`."""
+    what = cls.__name__
+    if not isinstance(data, Mapping):
+        raise ProtocolError(f"{what} body must be a JSON object")
     version = data.get("api_version", API_VERSION)
     if version != API_VERSION:
         raise ProtocolError(
             f"{what}: unsupported api_version {version!r} "
             f"(this server speaks {API_VERSION})"
         )
+    try:
+        return decode(cls, data)
+    except ValueError as exc:
+        raise ProtocolError(f"{what}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -88,10 +119,8 @@ class SubmitRequest:
       dict; ``axes`` maps axis names to value lists); an optional
       ``"adaptive"`` block (:func:`adaptive_from_payload`) switches the
       seed axis to adaptive replication;
-    - ``figure`` — ``{"name", "speed", "scale", "seed", "seeds",
-      "axes"}`` for the figure registry (``axes`` maps figure axis
-      names to value lists), plus optional adaptive fields
-      (:data:`FIGURE_POLICY_FIELDS`).
+    - ``figure`` — a :class:`FigurePayload`, plus optional inline
+      adaptive policy fields (:func:`figure_policy_fields`).
 
     ``trace=True`` (``run`` jobs only) attaches a tracer and streams
     its events over the job's SSE channel; ``trace_filter`` narrows the
@@ -99,30 +128,24 @@ class SubmitRequest:
     :data:`~repro.obs.trace.CATEGORIES`.
     """
 
-    kind: str
+    kind: JobKind
     payload: Mapping[str, Any]
     tenant: str = "public"
     trace: bool = False
     trace_filter: Optional[Tuple[str, ...]] = None
     api_version: int = API_VERSION
 
-    _FIELDS = (
-        "kind", "payload", "tenant", "trace", "trace_filter", "api_version",
-    )
-
     def validate(self) -> None:
-        if self.kind not in JOB_KINDS:
-            raise ProtocolError(
-                f"unknown job kind {self.kind!r}; choose from {JOB_KINDS}"
-            )
-        if not isinstance(self.payload, Mapping):
-            raise ProtocolError("payload must be a JSON object")
+        try:
+            check(self)
+        except ValueError as exc:
+            raise ProtocolError(f"submit: {exc}") from exc
         if self.trace and self.kind != "run":
             raise ProtocolError(
                 "trace streaming is only supported for kind='run' jobs "
                 "(sweep points execute in worker processes)"
             )
-        if not self.tenant or not isinstance(self.tenant, str):
+        if not self.tenant:
             raise ProtocolError("tenant must be a non-empty string")
         unknown = [c for c in self.trace_filter or () if c not in CATEGORIES]
         if unknown:
@@ -131,55 +154,19 @@ class SubmitRequest:
                 f"choose from {list(CATEGORIES)}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "api_version": self.api_version,
-            "kind": self.kind,
-            "payload": dict(self.payload),
-            "tenant": self.tenant,
-            "trace": self.trace,
-            "trace_filter": (
-                list(self.trace_filter) if self.trace_filter else None
-            ),
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SubmitRequest":
-        if not isinstance(data, Mapping):
-            raise ProtocolError("request body must be a JSON object")
-        unknown = set(data) - set(cls._FIELDS)
-        if unknown:
-            raise ProtocolError(
-                f"unknown request field(s) {sorted(unknown)}; "
-                f"expected a subset of {list(cls._FIELDS)}"
-            )
-        _require_version(data, "submit")
-        if "kind" not in data:
-            raise ProtocolError("submit: missing required field 'kind'")
-        if "payload" not in data:
-            raise ProtocolError("submit: missing required field 'payload'")
-        trace_filter = data.get("trace_filter")
-        request = cls(
-            kind=data["kind"],
-            payload=data["payload"],
-            tenant=data.get("tenant", "public"),
-            trace=bool(data.get("trace", False)),
-            trace_filter=tuple(trace_filter) if trace_filter else None,
-            api_version=data.get("api_version", API_VERSION),
-        )
-        request.validate()
-        return request
+@dataclass(frozen=True)
+class FigurePayload:
+    """A ``figure`` job's payload, less its adaptive policy fields: the
+    arguments of :func:`repro.api.figure`, with the figure-specific
+    axes (``protocols``, ``sides``, ...) as value lists under ``axes``."""
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "SubmitRequest":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"invalid JSON body: {exc}") from exc
-        return cls.from_dict(data)
+    name: str
+    speed: float = 1.0
+    scale: float = 1.0
+    seed: int = 1
+    seeds: int = 1
+    axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -194,17 +181,6 @@ class JobProgress:
     total: int = 0
     cached: int = 0
 
-    def to_dict(self) -> Dict[str, int]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "JobProgress":
-        return cls(
-            done=int(data.get("done", 0)),
-            total=int(data.get("total", 0)),
-            cached=int(data.get("cached", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class JobView:
@@ -213,8 +189,8 @@ class JobView:
     unset ones are ``None``."""
 
     job_id: str
-    kind: str
-    state: str
+    kind: JobKind
+    state: JobState
     tenant: str
     created_s: float
     started_s: Optional[float] = None
@@ -228,44 +204,6 @@ class JobView:
     error: Optional[str] = None
     api_version: int = API_VERSION
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "api_version": self.api_version,
-            "job_id": self.job_id,
-            "kind": self.kind,
-            "state": self.state,
-            "tenant": self.tenant,
-            "created_s": self.created_s,
-            "started_s": self.started_s,
-            "finished_s": self.finished_s,
-            "progress": self.progress.to_dict(),
-            "cache_hit": self.cache_hit,
-            "deduped": self.deduped,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "JobView":
-        _require_version(data, "job view")
-        if data.get("state") not in JOB_STATES:
-            raise ProtocolError(
-                f"job view: unknown state {data.get('state')!r}"
-            )
-        return cls(
-            job_id=data["job_id"],
-            kind=data["kind"],
-            state=data["state"],
-            tenant=data["tenant"],
-            created_s=data["created_s"],
-            started_s=data.get("started_s"),
-            finished_s=data.get("finished_s"),
-            progress=JobProgress.from_dict(data.get("progress", {})),
-            cache_hit=bool(data.get("cache_hit", False)),
-            deduped=bool(data.get("deduped", False)),
-            error=data.get("error"),
-            api_version=data.get("api_version", API_VERSION),
-        )
-
 
 @dataclass(frozen=True)
 class ErrorView:
@@ -275,24 +213,6 @@ class ErrorView:
     error: str
     detail: str = ""
     api_version: int = API_VERSION
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "api_version": self.api_version,
-            "status": self.status,
-            "error": self.error,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ErrorView":
-        _require_version(data, "error view")
-        return cls(
-            status=int(data["status"]),
-            error=data["error"],
-            detail=data.get("detail", ""),
-            api_version=data.get("api_version", API_VERSION),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -306,13 +226,6 @@ def config_from_payload(payload: Mapping[str, Any]) -> Any:
     except (TypeError, ValueError, KeyError) as exc:
         raise ProtocolError(f"bad experiment config: {exc}") from exc
     return config
-
-
-def _value_lists(axes: Any) -> bool:
-    return isinstance(axes, Mapping) and all(
-        isinstance(v, Sequence) and not isinstance(v, (str, bytes))
-        for v in axes.values()
-    )
 
 
 class _GridCheck:
@@ -329,44 +242,27 @@ class _GridCheck:
 
 def spec_from_payload(payload: Mapping[str, Any]) -> Any:
     """A :class:`SweepSpec` from a ``sweep`` payload (validated)."""
-    axes = payload.get("axes", {})
-    if not _value_lists(axes):
-        raise ProtocolError("sweep axes must map names to value lists")
     try:
-        resolved: Dict[str, List[Any]] = {}
-        for name, values in axes.items():
-            if name == "faults":
-                values = [
-                    FaultPlan.from_dict(v) if isinstance(v, Mapping) else v
-                    for v in values
-                ]
-            resolved[name] = list(values)
-        spec = SweepSpec(
-            name=payload.get("name", "sweep"),
-            base=ExperimentConfig.from_dict(payload.get("base", {})),
-            axes=resolved,
-            scale=float(payload.get("scale", 1.0)),
-        )
+        spec = decode(SweepSpec, {"name": "sweep", **payload})
+        plans = spec.axes.get("faults")
+        if plans is not None:
+            spec.axes["faults"] = [
+                FaultPlan.from_dict(v) if isinstance(v, Mapping) else v
+                for v in plans
+            ]
         _GridCheck.run(spec)
     except (TypeError, ValueError, KeyError) as exc:
         raise ProtocolError(f"bad sweep spec: {exc}") from exc
     return spec
 
 
-def spec_to_payload(spec: Any) -> Dict[str, Any]:
-    """Inverse of :func:`spec_from_payload` (fault plans re-serialize)."""
-    axes: Dict[str, List[Any]] = {}
-    for name, values in spec.axes.items():
-        axes[name] = [
-            v.to_dict() if hasattr(v, "to_dict") and name == "faults" else v
-            for v in values
-        ]
-    return {
-        "name": spec.name,
-        "base": spec.base.to_dict(),
-        "axes": axes,
-        "scale": spec.scale,
-    }
+def figure_policy_fields(payload: Mapping[str, Any]) -> Dict[str, Any]:
+    """The adaptive policy a ``figure`` payload carries inline: its
+    :class:`~repro.experiments.adaptive.ReplicationPolicy` fields."""
+    from repro.api import ReplicationPolicy
+
+    names = {f.name for f in fields(ReplicationPolicy)}
+    return {k: v for k, v in payload.items() if k in names}
 
 
 def figure_kwargs_from_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
@@ -375,32 +271,20 @@ def figure_kwargs_from_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
     which validates its grid and simulates nothing."""
     from repro.api import figure
 
-    name = payload.get("name")
-    if not name:
-        raise ProtocolError("figure payload needs a 'name'")
-    known = {"name", "speed", "scale", "seed", "seeds", "axes"}
-    known.update(FIGURE_POLICY_FIELDS)
-    unknown = set(payload) - known
-    if unknown:
-        raise ProtocolError(
-            f"unknown figure field(s) {sorted(unknown)}; "
-            f"expected a subset of {sorted(known)}"
-        )
-    axes = payload.get("axes", {})
-    if not _value_lists(axes):
-        raise ProtocolError("figure axes must map names to value lists")
+    policy = figure_policy_fields(payload)
     try:
+        request = decode(FigurePayload, {
+            k: v for k, v in payload.items() if k not in policy
+        })
         kwargs = {
-            "name": str(name),
-            "speed": float(payload.get("speed", 1.0)),
-            "scale": float(payload.get("scale", 1.0)),
-            "seed": int(payload.get("seed", 1)),
-            "seeds": int(payload.get("seeds", 1)),
+            f.name: getattr(request, f.name)
+            for f in fields(request)
+            if f.name != "axes"
         }
-        figure(**kwargs, **axes, runner=_GridCheck())
+        figure(**kwargs, **request.axes, runner=_GridCheck())
     except (TypeError, ValueError, KeyError) as exc:
         raise ProtocolError(f"bad figure: {exc}") from exc
-    return {**kwargs, **axes}
+    return {**kwargs, **request.axes}
 
 
 def adaptive_from_payload(payload: Mapping[str, Any]) -> Any:
@@ -409,11 +293,9 @@ def adaptive_from_payload(payload: Mapping[str, Any]) -> Any:
     fields of a figure payload)."""
     from repro.api import ReplicationPolicy
 
-    if not isinstance(payload, Mapping):
-        raise ProtocolError("'adaptive' must be a JSON object")
     try:
-        return ReplicationPolicy.from_dict(payload)
-    except (TypeError, ValueError, KeyError) as exc:
+        return decode(ReplicationPolicy, payload)
+    except (TypeError, ValueError) as exc:
         raise ProtocolError(f"bad adaptive policy: {exc}") from exc
 
 

@@ -1,6 +1,7 @@
 """Adaptive replication: policy, scheduler, CRN pairing, determinism."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.experiments.adaptive import (
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.sweep import SweepRunner, SweepSpec
+from repro.records import decode
 
 TINY = dict(
     n_hosts=8, width_m=300.0, height_m=300.0, n_flows=2,
@@ -68,11 +70,11 @@ def test_policy_roundtrip():
         target_ci=0.07, min_seeds=4, max_seeds=9, batch=3,
         confidence=0.9, gate_scalars=("aen_end",),
     )
-    assert ReplicationPolicy.from_dict(p.to_dict()) == p
+    assert decode(ReplicationPolicy, json.loads(json.dumps(asdict(p)))) == p
     with pytest.raises(ValueError):
-        ReplicationPolicy.from_dict({"target_ci": 0.1, "bogus": 1})
+        decode(ReplicationPolicy, {"target_ci": 0.1, "bogus": 1})
     with pytest.raises(ValueError):
-        ReplicationPolicy.from_dict({"max_seeds": 4})
+        decode(ReplicationPolicy, {"max_seeds": 4})
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +170,26 @@ def test_spec_without_seed_axis_passes_through():
     assert len(run.outcomes) == 1
     with pytest.raises(ValueError, match="no 'seed' axis"):
         adaptive_sweep(spec, ReplicationPolicy(target_ci=0.1))
+
+
+def test_merged_report_prefixes_keys_and_needs_every_arm_met():
+    _, met = adaptive_sweep(
+        tiny_spec(), ReplicationPolicy(target_ci=1e9, min_seeds=2, max_seeds=3)
+    )
+    _, capped = adaptive_sweep(
+        tiny_spec(), ReplicationPolicy(target_ci=0.0, min_seeds=2, max_seeds=3)
+    )
+    assert met.all_met and not capped.all_met
+    merged = PrecisionReport.merge([("a", met), ("b", capped)])
+    assert [arm["key"] for arm in merged.arms] == [
+        "a;protocol=grid", "a;protocol=ecgrid",
+        "b;protocol=grid", "b;protocol=ecgrid",
+    ]
+    assert merged.deltas[1]["arms"] == ["b;protocol=grid", "b;protocol=ecgrid"]
+    assert merged.total_runs == met.total_runs + capped.total_runs
+    assert merged.looks == max(met.looks, capped.looks)
+    assert not merged.all_met
+    assert PrecisionReport.merge([("a", met)]).all_met
 
 
 def test_report_roundtrip_and_summary():

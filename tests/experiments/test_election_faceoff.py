@@ -126,3 +126,23 @@ def test_election_faceoff_narrowed_arms():
     assert policies == {"paper", "random"}
     for points in fig.series.values():
         assert len(points) == 1
+
+
+def test_adaptive_faceoff_report_covers_every_scenario():
+    """Each scenario is its own adaptive sweep; the figure's report
+    merges them all, not just the last one."""
+    fig = figure(
+        "election-faceoff", scale=0.06, seed=3, target_ci=0.05,
+        min_seeds=2, max_seeds=4, policies=("paper", "grid"),
+    )
+    report = fig.precision
+    assert len(report["arms"]) == 6  # 2 policies x 3 scenarios
+    assert report["total_runs"] == len(fig.results) == 22
+    assert "(adaptive: 22 runs," in fig.title
+    assert {arm["key"].split(";")[0] for arm in report["arms"]} == {
+        "scenario=cruise", "scenario=sprint", "scenario=parked",
+    }
+    assert report["all_met"] == all(arm["met"] for arm in report["arms"])
+    assert fig.seeds == sorted(
+        {s for arm in report["arms"] for s in arm["seeds"]}
+    )

@@ -76,6 +76,31 @@ def test_run_job_lifecycle_and_result():
         table.shutdown()
 
 
+class _InlineExecutor:
+    """Runs each job to its end inside ``submit``."""
+
+    def submit(self, fn, *args):
+        fn(*args)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_submit_answers_the_state_it_left_the_job_in():
+    """The submit view is taken before the executor sees the job, so
+    even an executor that finishes the job inside ``submit`` answers
+    ``queued``, not whatever state the job reached meanwhile."""
+    table = JobTable(cache=None, concurrency=1)
+    table._executor.shutdown(wait=True)
+    table._executor = _InlineExecutor()
+    try:
+        view = submit_run(table)
+        assert view.state == "queued"
+        assert table.view(view.job_id).state == "done"
+    finally:
+        table.shutdown()
+
+
 def test_result_before_done_is_409(gated):
     started, release = gated
     table = JobTable(cache=None, concurrency=1)

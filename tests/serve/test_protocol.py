@@ -1,6 +1,7 @@
 """Wire protocol: round-trips, validation, and the shared schema."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -19,8 +20,9 @@ from repro.serve.protocol import (
     SubmitRequest,
     config_from_payload,
     figure_kwargs_from_payload,
+    parse_body,
+    read_body,
     spec_from_payload,
-    spec_to_payload,
 )
 
 
@@ -35,13 +37,13 @@ def test_submit_request_json_round_trip():
         trace=True,
         trace_filter=("gateway", "page"),
     )
-    back = SubmitRequest.from_json(req.to_json())
+    back = read_body(SubmitRequest, json.loads(json.dumps(asdict(req))))
     assert back == req
     assert back.api_version == API_VERSION
 
 
 def test_submit_request_defaults():
-    req = SubmitRequest.from_dict({"kind": "sweep", "payload": {}})
+    req = read_body(SubmitRequest, {"kind": "sweep", "payload": {}})
     assert req.tenant == "public"
     assert req.trace is False
     assert req.trace_filter is None
@@ -62,17 +64,17 @@ def test_submit_request_defaults():
 )
 def test_submit_request_rejects(body):
     with pytest.raises(ProtocolError):
-        SubmitRequest.from_dict(body)
+        read_body(SubmitRequest, body).validate()
 
 
 def test_unknown_trace_category_is_rejected_at_submit():
     # Used to be accepted, then fail inside the worker's Tracer.
     for names in (["bogus"], ["gateway", "sim"]):
         with pytest.raises(ProtocolError) as exc:
-            SubmitRequest.from_dict({
+            read_body(SubmitRequest, {
                 "kind": "run", "payload": {}, "trace": True,
                 "trace_filter": names,
-            })
+            }).validate()
         assert exc.value.status == 400
         assert "choose from" in exc.value.detail
         assert "'gateway', 'page'" in exc.value.detail
@@ -80,7 +82,7 @@ def test_unknown_trace_category_is_rejected_at_submit():
 
 def test_submit_request_bad_json_is_protocol_error():
     with pytest.raises(ProtocolError):
-        SubmitRequest.from_json("{{{nope")
+        parse_body(b"{{{nope")
 
 
 # ----------------------------------------------------------------------
@@ -96,22 +98,22 @@ def test_job_view_round_trip():
         started_s=124.0,
         progress=JobProgress(done=2, total=8, cached=1),
     )
-    back = JobView.from_dict(json.loads(json.dumps(view.to_dict())))
+    back = read_body(JobView, json.loads(json.dumps(asdict(view))))
     assert back == view
 
 
 def test_job_view_rejects_unknown_state():
-    data = JobView(
+    data = asdict(JobView(
         job_id="x", kind="run", state="done", tenant="t", created_s=0.0
-    ).to_dict()
+    ))
     data["state"] = "exploded"
     with pytest.raises(ProtocolError):
-        JobView.from_dict(data)
+        read_body(JobView, data)
 
 
 def test_error_view_round_trip():
     err = ErrorView(status=429, error="Too Many Requests", detail="quota")
-    assert ErrorView.from_dict(err.to_dict()) == err
+    assert read_body(ErrorView, asdict(err)) == err
 
 
 def test_state_tables_consistent():
@@ -146,10 +148,10 @@ def test_config_from_payload_validates():
 def test_non_finite_payloads_are_rejected_at_submit():
     # JSON's Infinity literal and an overflowing 1e400 both parse to
     # inf; either horizon would hold an executor thread for good.
-    req = SubmitRequest.from_json(
+    req = read_body(SubmitRequest, json.loads(
         '{"kind": "run", "payload": {"protocol": "ecgrid", "n_hosts": 4,'
         ' "sim_time_s": Infinity}}'
-    )
+    ))
     with pytest.raises(ProtocolError) as run_exc:
         config_from_payload(req.payload)
     assert run_exc.value.status == 400
@@ -168,12 +170,12 @@ def test_spec_payload_round_trip():
     }
     spec = spec_from_payload(payload)
     assert len(spec.expand()) == 4
-    back = spec_to_payload(spec)
+    back = asdict(spec)
     assert back["name"] == "density"
     assert back["axes"]["protocol"] == ["grid", "ecgrid"]
     assert back["scale"] == 0.25
     # the round-trip is stable (dedup keys depend on it)
-    assert spec_to_payload(spec_from_payload(back)) == back
+    assert asdict(spec_from_payload(back)) == back
 
 
 def test_spec_from_payload_rejects_bad_axes():
@@ -207,6 +209,58 @@ def test_figure_kwargs_from_payload():
             assert exc.value.status == 400, bad
             with pytest.raises(ProtocolError):
                 table.submit(SubmitRequest(kind="figure", payload=bad))
+        assert table._jobs == {}
+    finally:
+        table.shutdown()
+
+
+RUN = {"protocol": "ecgrid", "n_hosts": 8, "sim_time_s": 10.0}
+
+
+def _faulted(**event):
+    return {**RUN, "faults": {"events": [event]}}
+
+
+@pytest.mark.parametrize(
+    "kind, payload, field",
+    [
+        # Each used to fail in a worker, or to run another configuration
+        # than the one named, and cache its result under the bad key.
+        ("run", {**RUN, "n_hosts": "12"}, "n_hosts"),
+        ("run", {**RUN, "n_hosts": 12.0}, "n_hosts"),
+        ("run", {**RUN, "n_hosts": True}, "n_hosts"),
+        ("run", {**RUN, "params": {"hello_period_s": "x"}},
+         "params.hello_period_s"),
+        ("run", _faulted(kind="node_crash", at_s="soon", node_id=1),
+         "faults.events[0].at_s"),
+        ("run", _faulted(kind="partition", axis="z"),
+         "faults.events[0].axis"),
+        ("run", {**RUN, "seed": None}, "seed"),
+        ("run", {**RUN, "loss_model": "unit-disk"}, "loss_model"),
+        ("run", {**RUN, "params": {"search_policy": "bbox-margin"}},
+         "params.search_policy"),
+        ("run", {**RUN, "params": {"dwell_mode": "Exact"}},
+         "params.dwell_mode"),
+        ("sweep", {"base": RUN, "axes": {"params.load_balance": ["no"]}},
+         "params.load_balance"),
+        ("sweep", {"base": RUN, "axes": {"seed": [None]}}, "seed"),
+        ("sweep", {"base": RUN, "scale": "0.5"}, "scale"),
+        ("figure", {"name": "ablation-search", "scale": 0.05,
+                    "axes": {"policies": [5]}}, "params.search_policy"),
+        ("figure", {"name": "ablation-gridsize", "scale": 0.05,
+                    "axes": {"sides": [None]}}, "cell_side_m"),
+        ("figure", {"name": "fig4", "scale": 0.05, "seeds": 2.9}, "seeds"),
+        ("figure", {"name": "fig4", "scale": 0.05, "seed": True}, "seed"),
+        ("figure", {"name": "fig4", "scale": "0.05"}, "scale"),
+    ],
+)
+def test_mistyped_payloads_answer_400_at_submit(kind, payload, field):
+    table = JobTable(cache=None, concurrency=1)
+    try:
+        with pytest.raises(ProtocolError) as exc:
+            table.submit(SubmitRequest(kind=kind, payload=payload))
+        assert exc.value.status == 400
+        assert f"{field}: " in exc.value.detail
         assert table._jobs == {}
     finally:
         table.shutdown()
