@@ -16,12 +16,15 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, Literal, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Literal, Mapping, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.protocols.base import ProtocolParams
 from repro.protocols.gaf import GafParams
 from repro.records import check, decode
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.network import NetworkConfig
 
 #: Every registered protocol: name -> (module, class).  A class is its
 #: own factory, ``cls(node, params, counters)``; its module loads on
@@ -136,9 +139,11 @@ class ExperimentConfig:
             )
         if self.n_flows < 0 or self.sim_time_s <= 0:
             raise ValueError("need n_flows >= 0 and sim_time_s > 0")
-        if self.sample_interval_s <= 0 or self.flow_rate_pps <= 0:
+        if self.flow_rate_pps <= 0:
+            raise ValueError("need flow_rate_pps > 0")
+        if self.packet_bytes < 1:
             raise ValueError(
-                "need sample_interval_s > 0 and flow_rate_pps > 0"
+                f"packet_bytes: must be >= 1, got {self.packet_bytes}"
             )
         from repro.core.election import ELECTION_POLICIES
 
@@ -147,6 +152,29 @@ class ExperimentConfig:
                 f"unknown election policy {self.params.election_policy!r}; "
                 f"choose from {sorted(ELECTION_POLICIES)}"
             )
+        # The scenario's range checks are the network's own list.
+        self.network_config().validate()
+
+    def network_config(self) -> "NetworkConfig":
+        """The scenario this config describes, as
+        :class:`~repro.net.network.Network` takes it."""
+        from repro.net.network import NetworkConfig
+        from repro.phy.medium import MediumConfig
+
+        return NetworkConfig(
+            width_m=self.width_m,
+            height_m=self.height_m,
+            cell_side_m=self.cell_side_m,
+            n_hosts=self.n_hosts,
+            n_endpoints=self.endpoints,
+            initial_energy_j=self.initial_energy_j,
+            min_speed_mps=self.min_speed_mps,
+            max_speed_mps=self.max_speed_mps,
+            pause_time_s=self.pause_time_s,
+            seed=self.seed,
+            sample_interval_s=self.sample_interval_s,
+            medium=MediumConfig(loss_model=self.loss_model),
+        )
 
     @property
     def endpoints(self) -> int:

@@ -9,7 +9,7 @@ from typing import Dict, Optional
 
 from repro.experiments.config import ExperimentConfig, protocol_class
 from repro.metrics.timeseries import TimeSeries
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 
 
 def _make_factory(config: ExperimentConfig):
@@ -22,23 +22,9 @@ def _make_factory(config: ExperimentConfig):
 def build_network(config: ExperimentConfig) -> Network:
     """Instantiate (but do not run) the scenario a config describes."""
     config.validate()
-    from repro.phy.medium import MediumConfig
-
-    net_cfg = NetworkConfig(
-        width_m=config.width_m,
-        height_m=config.height_m,
-        cell_side_m=config.cell_side_m,
-        n_hosts=config.n_hosts,
-        n_endpoints=config.endpoints,
-        initial_energy_j=config.initial_energy_j,
-        min_speed_mps=config.min_speed_mps,
-        max_speed_mps=config.max_speed_mps,
-        pause_time_s=config.pause_time_s,
-        seed=config.seed,
-        sample_interval_s=config.sample_interval_s,
-        medium=MediumConfig(loss_model=config.loss_model),
+    network = Network(
+        config.network_config(), _make_factory(config), config.params
     )
-    network = Network(net_cfg, _make_factory(config), config.params)
     if config.n_flows > 0:
         network.add_random_flows(
             config.n_flows,

@@ -47,12 +47,33 @@ class NetworkConfig:
     sample_interval_s: float = 10.0
 
     def validate(self) -> None:
+        """Range-check the scenario.  :class:`Network` runs this list,
+        and so does :meth:`ExperimentConfig.validate
+        <repro.experiments.config.ExperimentConfig.validate>`, so a job
+        server rejects a bad scenario at submit.  Each error starts
+        with the name of the field at fault."""
+        for name in (
+            "width_m", "height_m", "cell_side_m", "initial_energy_j",
+            "max_speed_mps", "sample_interval_s",
+        ):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name}: must be > 0, got {value}")
+        for name in ("n_endpoints", "min_speed_mps", "pause_time_s"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name}: must be >= 0, got {value}")
         if self.n_hosts < 1:
-            raise ValueError("need at least one host")
+            raise ValueError(f"n_hosts: must be >= 1, got {self.n_hosts}")
+        if self.min_speed_mps > self.max_speed_mps:
+            raise ValueError(
+                f"min_speed_mps: {self.min_speed_mps} exceeds "
+                f"max_speed_mps {self.max_speed_mps}"
+            )
         bound = max_grid_side(self.medium.range_m)
         if self.cell_side_m > bound + 1e-9:
             raise ValueError(
-                f"cell side {self.cell_side_m} m violates the gateway "
+                f"cell_side_m: {self.cell_side_m} m violates the gateway "
                 f"reachability constraint sqrt(2)*r/3 = {bound:.2f} m"
             )
 

@@ -86,42 +86,26 @@ class _Transmission:
         self.index = -1
 
 
-#: A bucket's view for the receiver loops:
-#: ``(x0, y0, x1, y1, all_radios, awake, sleepers, len(sleepers))``.
-_Rect = Tuple[
-    float, float, float, float,
-    Tuple[Radio, ...], Tuple[Radio, ...], Tuple[Radio, ...], int,
-]
-
-
 class _Bucket:
     """One grid cell's radios, kept current in place.
 
     ``radios`` maps node id -> radio in insertion order (set order would
     depend on object addresses and break run-to-run determinism).
-    ``rect`` is the :data:`_Rect` the neighbor loops read: the cell's
-    bounds, its radios, and their partition by *base* mode (OFF radios
-    appear only in ``all_radios``).  :meth:`rebuild` replaces ``rect``
-    with a new tuple, never mutating one, so a receiver loop that
-    already holds the old one is undisturbed.
+    ``members`` holds the same radios as the tuple the neighbour loop
+    reads.  Only membership changes rebuild it, always as a new tuple,
+    so a loop that already holds the old one (a receiver that dies
+    mid-frame unregisters) finishes on it undisturbed.
     """
 
-    __slots__ = ("radios", "bounds", "rect")
+    __slots__ = ("radios", "members")
 
-    def __init__(self, bounds: Tuple[float, float, float, float]) -> None:
+    def __init__(self) -> None:
         self.radios: Dict[int, Radio] = {}
-        self.bounds = bounds
-        self.rect: _Rect = bounds + ((), (), (), 0)
+        self.members: Tuple[Radio, ...] = ()
 
     def rebuild(self) -> None:
-        """Re-derive ``rect`` after a membership change or a base-mode
-        flip of one of this bucket's radios."""
-        radios = tuple(self.radios.values())
-        idle = RadioMode.IDLE
-        sleep = RadioMode.SLEEP
-        awake = tuple([r for r in radios if r.base_mode is idle])
-        sleepers = tuple([r for r in radios if r.base_mode is sleep])
-        self.rect = self.bounds + (radios, awake, sleepers, len(sleepers))
+        """Re-derive ``members`` after a membership change."""
+        self.members = tuple(self.radios.values())
 
 
 @dataclass
@@ -143,16 +127,14 @@ class Medium:
 
     Its scaling structure (see ``docs/performance.md``, "Scaling") is
     **per-cell buckets kept current in place**: every in-map cell owns
-    one :class:`_Bucket` for the medium's lifetime.  ``register`` /
-    ``unregister`` / ``update_cell`` and the radios'
-    ``on_base_mode_flip`` hook rebuild only the bucket they touch, so
-    each bucket's awake/sleeper partition always matches its radios'
-    live base modes.  Each ``(center cell, radius)`` maps to the tuple
-    of its covering buckets, built on first use and never invalidated
-    (the buckets themselves stay current).  ``transmit`` and
-    ``radios_near`` walk that tuple, classify whole cells against the
-    disk and per-point-test only the straddlers.  Carrier sense is one
-    scan of the in-flight list.
+    one :class:`_Bucket` for the medium's lifetime, and ``register`` /
+    ``unregister`` / ``update_cell`` rebuild only the bucket they touch.
+    Each ``(center cell, radius)`` maps to the tuple of its covering
+    buckets, built on first use and never invalidated (the buckets
+    themselves stay current).  :meth:`radios_near` is the one neighbour
+    query: it walks that tuple and applies the exact per-radio distance
+    test to every member, and ``transmit`` gathers its receivers through
+    it.  Carrier sense is one scan of the in-flight list.
     """
 
     def __init__(
@@ -172,11 +154,8 @@ class Medium:
         #: instead of regenerated per query.
         self._offsets: Dict[int, Tuple[GridCoord, ...]] = {}
         self._ring_offsets = self._pruned_offsets(self._ring, self.config.range_m)
-        side = grid.cell_side
         self._buckets: Dict[GridCoord, _Bucket] = {
-            (cx, cy): _Bucket(
-                (cx * side, cy * side, cx * side + side, cy * side + side)
-            )
+            (cx, cy): _Bucket()
             for cx in range(grid.cols)
             for cy in range(grid.rows)
         }
@@ -250,22 +229,11 @@ class Medium:
         bucket.radios[radio.node_id] = radio
         bucket.rebuild()
         self._bucket_of[radio.node_id] = bucket
-        # Buckets partition their radios by base mode, so base-mode
-        # flips must rebuild exactly like membership changes do.
-        radio.on_base_mode_flip = self._on_base_mode_flip
 
     def unregister(self, radio: Radio) -> None:
-        radio.on_base_mode_flip = None
         bucket = self._bucket_of.pop(radio.node_id, None)
         if bucket is not None:
             bucket.radios.pop(radio.node_id, None)
-            bucket.rebuild()
-
-    def _on_base_mode_flip(self, radio: Radio) -> None:
-        """A registered radio's base mode changed (sleep / wake /
-        power_off / power_on): re-partition its bucket."""
-        bucket = self._bucket_of.get(radio.node_id)
-        if bucket is not None:
             bucket.rebuild()
 
     def update_cell(self, radio: Radio) -> None:
@@ -316,45 +284,21 @@ class Medium:
         return cover
 
     def radios_near(self, pos: Vec2, radius: float) -> List[Radio]:
-        """All registered radios within ``radius`` of ``pos``.
+        """All registered radios within ``radius`` of ``pos``: the one
+        neighbour rule, an exact distance test of every member of the
+        covering buckets.
 
-        Candidate order (hence result order) is row-major over the
-        covering cells — identical to iterating ``cells_within`` — then
-        bucket insertion order, so downstream receiver bookkeeping stays
-        deterministic.
-
-        Whole cells are classified against the disk first: a bucket
-        whose rectangle lies entirely inside ``radius`` contributes all
-        its radios, one entirely outside contributes none — only radios
-        in straddling cells need their position evaluated.  The class
-        thresholds carry a relative guard band of 1e-9 so float rounding
-        in the rectangle bounds can never flip a radio that the exact
-        per-point test would have (in)cluded; guarded cells fall through
-        to the per-point test, which is unchanged.
+        Result order is row-major over the covering cells (the order
+        ``cells_within`` yields), then bucket insertion order, so
+        receiver bookkeeping downstream stays deterministic.
         """
         out: List[Radio] = []
+        append = out.append
         px, py = pos
         r2 = radius * radius
-        skip2 = r2 * (1.0 + 1e-9)
-        take2 = r2 * (1.0 - 1e-9)
-        append = out.append
         now = self.sim.now
-        # Generic queries (RAS paging wakes *sleeping* radios) read the
-        # full bucket; the awake/sleeper partition is for ``_receive``.
         for bucket in self._cover(self.grid.cell_of(pos), radius):
-            if not bucket.radios:
-                continue
-            x0, y0, x1, y1, radios, _awake, _sleepers, _n = bucket.rect
-            gx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
-            gy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
-            if gx * gx + gy * gy > skip2:
-                continue
-            hx = px - x0 if px - x0 > x1 - px else x1 - px
-            hy = py - y0 if py - y0 > y1 - py else y1 - py
-            if hx * hx + hy * hy < take2:
-                out.extend(radios)
-                continue
-            for radio in radios:
+            for radio in bucket.members:
                 # Inlined ``MobilityModel.position`` fast paths (memo
                 # hit, active-segment hit) with identical arithmetic;
                 # skipping the memo/cursor writes only changes how later
@@ -447,7 +391,7 @@ class Medium:
         stats.frames_sent += 1
         stats.bytes_sent += wire_bytes
         # ``begin_tx`` above makes the half-duplex check skip the sender.
-        self._receive(tx, self._cover(self.grid.cell_of(pos), config.range_m))
+        self._receive(tx)
         self._add_active(tx)
         self.sim.after(
             duration + config.propagation_delay_s,
@@ -458,120 +402,49 @@ class Medium:
         )
         return duration
 
-    def _receive(self, tx: _Transmission, cover: Tuple[_Bucket, ...]) -> None:
-        """Begin ``tx``'s receptions: the fused receiver loop.
+    def _receive(self, tx: _Transmission) -> None:
+        """Begin ``tx``'s receptions at the radios :meth:`radios_near`
+        finds in range, in its order.
 
-        Walks ``cover``'s awake/sleeper partitions: sleepers feed only
-        the (order-independent) missed-asleep counter, and awake
-        candidates need just the half-duplex check before the reception
-        begins (base IDLE is guaranteed by the partition, so
-        ``Radio._update`` resolves RX).  Receptions are appended to
-        ``tx.receptions`` in cover order, then bucket insertion order.
+        An OFF radio hears nothing and a sleeping one only counts in
+        ``frames_missed_asleep``; an IDLE radio that is not itself
+        sending begins a reception, and ``Radio._update`` flips it to
+        RX.  Receptions are appended to ``tx.receptions`` in that order.
         """
         config = self.config
         stats = self.stats
         unit_disk = config.loss_model == "unit_disk"
         fault_hook = self.fault_hook
-        now = self.sim.now
         pos = tx.pos
-        px = tx.px
-        py = tx.py
-        r2 = config.range_m * config.range_m
-        skip2 = r2 * (1.0 + 1e-9)
-        take2 = r2 * (1.0 - 1e-9)
+        idle = RadioMode.IDLE
+        sleep = RadioMode.SLEEP
         receptions_append = tx.receptions.append
-        for bucket in cover:
-            # About half the covering cells are empty at the paper's
-            # density; skip them before unpacking the rect.
-            if not bucket.radios:
+        for radio in self.radios_near(pos, config.range_m):
+            base = radio.base_mode
+            if base is not idle:
+                if base is sleep:
+                    stats.frames_missed_asleep += 1
                 continue
-            x0, y0, x1, y1, _all, awake, sleepers, sleep_count = bucket.rect
-            gx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
-            gy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
-            if gx * gx + gy * gy > skip2:
+            if radio.transmitting:
                 continue
-            hx = px - x0 if px - x0 > x1 - px else x1 - px
-            hy = py - y0 if py - y0 > y1 - py else y1 - py
-            straddle = hx * hx + hy * hy >= take2
-            # Sleepers never receive; they only feed the missed-asleep
-            # counter, which is an order-independent sum — so the
-            # partition can count a take-all bucket in one add and
-            # per-point-test only the straddlers, instead of
-            # re-rejecting every sleeper per frame.
-            if not straddle:
-                if sleep_count:
-                    stats.frames_missed_asleep += sleep_count
-            elif sleepers:
-                for radio in sleepers:
-                    # Inlined position fast paths (see radios_near).
-                    mob = radio.mobility
-                    if now == mob._memo_t:
-                        p = mob._memo_pos
-                        x = p[0]
-                        y = p[1]
-                    else:
-                        seg = mob._active_seg
-                        if seg is not None and seg.t0 < now <= seg.t1:
-                            dt = now - seg.t0
-                            p0 = seg.p0
-                            v = seg.v
-                            x = p0.x + v.x * dt
-                            y = p0.y + v.y * dt
-                        else:
-                            p = mob.position(now)
-                            x = p[0]
-                            y = p[1]
-                    ddx = x - px
-                    ddy = y - py
-                    if ddx * ddx + ddy * ddy <= r2:
-                        stats.frames_missed_asleep += 1
-            for radio in awake:
-                if straddle:
-                    mob = radio.mobility
-                    if now == mob._memo_t:
-                        p = mob._memo_pos
-                        x = p[0]
-                        y = p[1]
-                    else:
-                        seg = mob._active_seg
-                        if seg is not None and seg.t0 < now <= seg.t1:
-                            dt = now - seg.t0
-                            p0 = seg.p0
-                            v = seg.v
-                            x = p0.x + v.x * dt
-                            y = p0.y + v.y * dt
-                        else:
-                            p = mob.position(now)
-                            x = p[0]
-                            y = p[1]
-                    ddx = x - px
-                    ddy = y - py
-                    if ddx * ddx + ddy * ddy > r2:
-                        continue
-                # ``awake`` is rebuilt on every base-mode flip, so base
-                # IDLE holds and only the half-duplex check remains.
-                if radio.transmitting:
-                    continue
-                rec = _Reception(radio)
-                if fault_hook is not None and fault_hook(pos, radio):
+            rec = _Reception(radio)
+            if fault_hook is not None and fault_hook(pos, radio):
+                rec.corrupted = True
+                stats.frames_fault_dropped += 1
+            if not unit_disk:
+                p = config.reception_probability(pos.dist(radio.position()))
+                if p < 1.0 and self._loss_rng.random() >= p:
+                    # Fringe loss: the radio still hears energy (pays
+                    # RX) but the frame does not decode.
                     rec.corrupted = True
-                    stats.frames_fault_dropped += 1
-                if not unit_disk:
-                    p = config.reception_probability(
-                        pos.dist(radio.position())
-                    )
-                    if p < 1.0 and self._loss_rng.random() >= p:
-                        # Fringe loss: the radio still hears energy
-                        # (pays RX) but the frame does not decode.
-                        rec.corrupted = True
-                ongoing = radio.rx_recs
-                if ongoing:
-                    rec.corrupted = True
-                    for other in ongoing:
-                        other.corrupted = True
-                ongoing.append(rec)
-                radio._update()
-                receptions_append(rec)
+            ongoing = radio.rx_recs
+            if ongoing:
+                rec.corrupted = True
+                for other in ongoing:
+                    other.corrupted = True
+            ongoing.append(rec)
+            radio._update()
+            receptions_append(rec)
 
     def _add_active(self, tx: _Transmission) -> None:
         tx.index = len(self._active)

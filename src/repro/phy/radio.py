@@ -38,7 +38,12 @@ _TX = RadioMode.TX
 
 
 class Radio:
-    """One host's transceiver."""
+    """One host's transceiver.
+
+    The medium reads ``base_mode`` and ``transmitting`` when a frame
+    begins, so a base-mode flip notifies nobody: it changes only the
+    radio's own draw.
+    """
 
     def __init__(
         self,
@@ -49,7 +54,7 @@ class Radio:
     ) -> None:
         self.node_id = node_id
         #: The node's mobility model: :meth:`position` and the medium's
-        #: neighbor loops read the radio's position from it.
+        #: neighbour query and carrier sense read the position from it.
         self.mobility = mobility
         self.profile = profile
         self.monitor = monitor
@@ -62,11 +67,6 @@ class Radio:
         self.rx_recs: List[object] = []
         self.frame_sink: Optional[FrameSink] = None
         self.on_mode_change: Optional[Callable[[RadioMode, RadioMode], None]] = None
-        #: Installed by the medium at registration: notifies it that
-        #: this radio's *base* mode (IDLE/SLEEP/OFF) flipped, so the
-        #: awake/asleep partition of its cell's bucket is rebuilt.  The
-        #: transient TX/RX activity never fires it.
-        self.on_base_mode_flip: Optional[Callable[["Radio"], None]] = None
         self._effective = _IDLE
         # Watts per mode, precomputed: ``_update`` runs for every frame
         # overheard by every receiver, and the profile is immutable.
@@ -113,8 +113,6 @@ class Radio:
             return
         self.base_mode = _SLEEP
         self._update()
-        if self.on_base_mode_flip is not None:
-            self.on_base_mode_flip(self)
 
     def wake(self) -> None:
         """Power the transceiver up into idle."""
@@ -122,16 +120,12 @@ class Radio:
             return
         self.base_mode = _IDLE
         self._update()
-        if self.on_base_mode_flip is not None:
-            self.on_base_mode_flip(self)
 
     def power_off(self) -> None:
         """Battery exhausted: the radio is gone for good."""
         self.base_mode = _OFF
         self.transmitting = False
         self._update()
-        if self.on_base_mode_flip is not None:
-            self.on_base_mode_flip(self)
 
     def power_on(self) -> None:
         """Inverse of :meth:`power_off` for revived hosts (failure
@@ -140,8 +134,6 @@ class Radio:
         self.base_mode = _IDLE
         self.transmitting = False
         self._update()
-        if self.on_base_mode_flip is not None:
-            self.on_base_mode_flip(self)
 
     # ------------------------------------------------------------------
     # Medium-driven activity

@@ -147,6 +147,11 @@ class JobServer:
             ConnectionError,
         ):
             pass
+        except ProtocolError as exc:  # a malformed request head
+            try:
+                self._write_error(writer, exc)
+            except ConnectionError:
+                pass
         except Exception as exc:  # a handler bug answers 500, not a crash
             try:
                 self._write_error(
@@ -178,7 +183,12 @@ class JobServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        # HTTP allows only ASCII digits here; ``int`` would also take a
+        # sign, underscores or non-ASCII digits.
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ProtocolError(f"bad content-length {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise asyncio.IncompleteReadError(b"", length)
         body = await reader.readexactly(length) if length else b""

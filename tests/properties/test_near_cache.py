@@ -1,22 +1,25 @@
 """Properties of the medium's per-cell buckets.
 
-``register`` / ``unregister`` / ``update_cell`` and the radios'
-base-mode hook rebuild buckets in place, and the covering-bucket tuples
-that neighbor queries walk are never invalidated.  So under any
-interleaving of mobility, membership churn and sleep/wake flips, what
-the medium answers must equal an oracle that scans every registered
-radio and never looks at the bucket index:
+``register`` / ``unregister`` / ``update_cell`` rebuild buckets in
+place, and the covering-bucket tuples that neighbor queries walk are
+never invalidated.  So under any interleaving of mobility, membership
+churn and sleep/wake flips, what the medium answers must equal an
+oracle that scans every registered radio and never looks at the bucket
+index:
 
+- every bucket's members, in insertion order — a missing rebuild
+  leaves them stale;
 - ``radios_near``, element for element (row-major covering cells, then
   bucket insertion order);
-- every bucket's awake and sleeper tuples, against the radios' live
-  base modes — a missing rebuild leaves them stale;
 - every ``transmit``'s receptions, in order: exactly the in-range,
-  IDLE, non-transmitting radios.
+  IDLE, non-transmitting radios; and its missed-asleep count: exactly
+  the in-range sleepers.
 """
 
 import itertools
 import random
+
+import pytest
 
 from repro.des.core import Simulator
 from repro.energy.accounting import BatteryMonitor
@@ -32,9 +35,9 @@ from repro.phy.radio import Radio
 AREA = 1000.0
 
 
-def build_world(n, seed, moving=True):
+def build_world(n, seed, moving=True, area=AREA):
     sim = Simulator(seed=seed)
-    grid = GridMap(AREA, AREA, 100.0)
+    grid = GridMap(area, area, 100.0)
     medium = Medium(sim, grid, MediumConfig())
     rng = random.Random(seed)
     radios = []
@@ -43,12 +46,12 @@ def build_world(n, seed, moving=True):
         mon = BatteryMonitor(sim, battery, max_draw_w=1.433)
         if moving:
             mob = RandomWaypoint(
-                random.Random(seed * 1000 + i), AREA, AREA,
+                random.Random(seed * 1000 + i), area, area,
                 min_speed=0.5, max_speed=5.0,
             )
         else:
             mob = StaticPosition(
-                Vec2(rng.uniform(0, AREA), rng.uniform(0, AREA))
+                Vec2(rng.uniform(0, area), rng.uniform(0, area))
             )
         r = Radio(i, mob, PAPER_PROFILE, mon)
         medium.register(r)
@@ -109,16 +112,9 @@ class Oracle:
 
 def assert_buckets_current(medium, oracle):
     for cell, bucket in medium._buckets.items():
-        _x0, _y0, _x1, _y1, radios, awake, sleepers, count = bucket.rect
         expect = oracle.in_cell(cell)
-        assert list(radios) == expect
-        assert list(awake) == [
-            r for r in expect if r.base_mode is RadioMode.IDLE
-        ]
-        assert list(sleepers) == [
-            r for r in expect if r.base_mode is RadioMode.SLEEP
-        ]
-        assert count == len(sleepers)
+        assert list(bucket.radios.values()) == expect
+        assert list(bucket.members) == expect
 
 
 def assert_transmit_matches(medium, oracle, sender):
@@ -135,11 +131,23 @@ def assert_transmit_matches(medium, oracle, sender):
     )
 
 
-def test_buckets_match_brute_force_scan_under_churn():
+@pytest.mark.parametrize(
+    "n, area",
+    [
+        # About 0.3 radios per 100 m cell: most buckets hold one or none.
+        (30, AREA),
+        # About 7 per cell: every bucket holds several radios and
+        # several sleepers, and most lie wholly inside a 250 m disk.
+        (60, 300.0),
+    ],
+    ids=["sparse", "dense"],
+)
+def test_buckets_match_brute_force_scan_under_churn(n, area):
     """200 random steps of motion + membership churn + sleep/wake flips
-    + transmissions: neighbor queries, bucket partitions and receiver
-    lists all equal the brute-force oracle after every step."""
-    sim, medium, radios = build_world(30, seed=7)
+    + transmissions: bucket members, neighbor queries, receiver lists
+    and missed-asleep counts all equal the brute-force oracle after
+    every step."""
+    sim, medium, radios = build_world(n, seed=7, area=area)
     oracle = Oracle(medium, radios)
     rng = random.Random(99)
     registered = set(range(len(radios)))
@@ -170,7 +178,7 @@ def test_buckets_match_brute_force_scan_under_churn():
                 anchor = radios[rng.choice(sorted(registered))]
                 pos = anchor.mobility.position(sim.now)
             else:
-                pos = Vec2(rng.uniform(0, AREA), rng.uniform(0, AREA))
+                pos = Vec2(rng.uniform(0, area), rng.uniform(0, area))
             radius = rng.choice((250.0, 250.0, 250.0, 150.0, 400.0))
             assert medium.radios_near(pos, radius) == oracle.near(pos, radius)
         # Overlapping frames: later senders see earlier ones as

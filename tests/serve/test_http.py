@@ -213,6 +213,30 @@ def test_error_statuses():
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_malformed_content_length_is_400(length):
+    # Both used to answer 500: ``int()`` rejected the first, and
+    # ``readexactly`` the second.
+    async def scenario():
+        async with running_server() as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(
+                b"POST /v1/jobs HTTP/1.1\r\nhost: t\r\n"
+                + f"content-length: {length}\r\n\r\n".encode()
+            )
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.split()[1] == b"400"
+            assert "content-length" in json.loads(body)["detail"]
+
+    asyncio.run(scenario())
+
+
 def test_tenant_header_and_quota_429(monkeypatch):
     async def scenario():
         with gated_api_run(monkeypatch):

@@ -252,6 +252,18 @@ def _faulted(**event):
         ("figure", {"name": "fig4", "scale": 0.05, "seeds": 2.9}, "seeds"),
         ("figure", {"name": "fig4", "scale": 0.05, "seed": True}, "seed"),
         ("figure", {"name": "fig4", "scale": "0.05"}, "scale"),
+        # Well typed but out of range: each used to pass submit, then
+        # fail in a worker or, for the last two, run to ``done``.
+        ("run", {**RUN, "cell_side_m": 0}, "cell_side_m"),
+        ("run", {**RUN, "width_m": 0}, "width_m"),
+        ("run", {**RUN, "n_hosts": 0}, "n_hosts"),
+        ("run", {**RUN, "max_speed_mps": -2}, "max_speed_mps"),
+        ("run", {**RUN, "min_speed_mps": 3.0, "max_speed_mps": 2.0},
+         "min_speed_mps"),
+        ("run", {**RUN, "pause_time_s": -1}, "pause_time_s"),
+        ("run", {**RUN, "initial_energy_j": -1}, "initial_energy_j"),
+        ("run", {**RUN, "packet_bytes": -1}, "packet_bytes"),
+        ("run", {**RUN, "n_endpoints": -3}, "n_endpoints"),
     ],
 )
 def test_mistyped_payloads_answer_400_at_submit(kind, payload, field):
