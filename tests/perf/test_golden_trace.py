@@ -10,12 +10,19 @@ same order, same floating-point state — not merely "similar metrics".
 ``tests/data/golden_fig5.json`` additionally pins one full figure
 export, so the sweep/figure pipeline above the kernel is covered too.
 
+``tests/data/golden_trace_streams.json`` pins what the protocol tracer
+emits on the same nine scenarios: every event of every category, in
+emission order, hashed with its time, name, node and fields.  A
+refactor of an emit site that reorders, drops or reshapes an event
+moves that digest even when the dispatch sequence stays put.
+
 Regenerating (only after an *intentional* semantic change, from a
 checkout whose behaviour is the new reference)::
 
     PYTHONPATH=src:tests python tests/perf/test_golden_trace.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,6 +30,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_network
+from repro.obs.trace import CATEGORIES, Tracer
 from repro.perf.trace import (
     TRACE_SCHEMA,
     TraceRecorder,
@@ -32,6 +40,7 @@ from repro.perf.trace import (
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = json.loads((DATA_DIR / "golden_kernel.json").read_text())
+STREAMS = json.loads((DATA_DIR / "golden_trace_streams.json").read_text())
 
 #: The pinned scenario shape (small enough to run 9x in tier-1, busy
 #: enough to exercise MAC contention, sleep cycling, and node death).
@@ -103,6 +112,71 @@ def test_sliced_horizon_reproduces_golden_digests(scenario):
     network.close()
 
 
+class _StreamDigest:
+    """Tracer subscriber hashing every event in emission order.
+
+    Packet uids come from one process-wide counter, so a run's uids
+    depend on what ran before it in the process; each is hashed as its
+    run-local ordinal (order of first appearance) instead.
+    """
+
+    categories = CATEGORIES
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+        self._uids = {}
+        self.events = 0
+
+    def on_event(self, event) -> None:
+        values = event.fields
+        if "uid" in values:
+            values = dict(values)
+            values["uid"] = self._uids.setdefault(values["uid"], len(self._uids))
+        fields = {k: repr(values[k]) for k in sorted(values)}
+        self._hash.update(
+            json.dumps([repr(event.t), event.name, event.node, fields]).encode()
+        )
+        self.events += 1
+
+    def digest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def trace_stream_run(config: ExperimentConfig):
+    """Run one scenario with every trace category on; return (events
+    traced, their digest, events dispatched)."""
+    network = build_network(config)
+    tracer = Tracer()
+    stream = _StreamDigest()
+    tracer.subscribe(stream)
+    network.attach_tracer(tracer)
+    network.run(until=config.sim_time_s)
+    executed = network.sim.events_executed
+    network.close()
+    return stream.events, stream.digest(), executed
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    STREAMS["scenarios"],
+    ids=lambda sc: f"{sc['protocol']}-seed{sc['seed']}",
+)
+def test_trace_stream_reproduces_golden_digest(scenario):
+    config = scenario_config(scenario["protocol"], scenario["seed"])
+    count, digest, executed = trace_stream_run(config)
+    kernel = next(
+        sc for sc in GOLDEN["scenarios"]
+        if (sc["protocol"], sc["seed"]) == (scenario["protocol"], scenario["seed"])
+    )
+    # Tracing observes only: the dispatch count is the untraced one.
+    assert executed == kernel["events_executed"]
+    assert count == scenario["trace_events"]
+    assert digest == scenario["stream_sha256"], (
+        "the traced event stream diverged — an emit site now reorders, "
+        "drops or reshapes an event"
+    )
+
+
 def test_fig5_export_byte_identical():
     """One pinned figure, through the full sweep pipeline, to the byte."""
     from repro.experiments import figures
@@ -141,6 +215,22 @@ def _regenerate() -> None:  # pragma: no cover
         json.dumps({"schema": TRACE_SCHEMA, "scenarios": scenarios}, indent=1)
         + "\n"
     )
+    print(f"wrote {out}")
+    streams = []
+    for protocol in PROTOCOLS:
+        for seed in SEEDS:
+            count, digest, _ = trace_stream_run(scenario_config(protocol, seed))
+            streams.append(
+                {
+                    "protocol": protocol,
+                    "seed": seed,
+                    "trace_events": count,
+                    "stream_sha256": digest,
+                }
+            )
+            print(f"{protocol} seed {seed}: {count} trace events")
+    out = DATA_DIR / "golden_trace_streams.json"
+    out.write_text(json.dumps({"scenarios": streams}, indent=1) + "\n")
     print(f"wrote {out}")
 
 
