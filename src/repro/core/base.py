@@ -6,8 +6,9 @@ specific to sleeping: HELLO beaconing, the distributed gateway election
 mobility (§3.2: newcomer handling, takeover, RETIRE handoff, LEAVE
 notifications, no-gateway detection), and neighbor-gateway tracking.
 Route discovery and data forwarding live in
-:class:`repro.core.routing.GridRoutingMixin`; the ECGRID energy
-machinery (sleep/wake, RAS paging, ACQ, load balancing) lives in
+:class:`repro.core.routing.GridRoutingMixin`, which every concrete
+protocol of the family (GRID, ECGRID, GAF) subclasses; the ECGRID
+energy machinery (sleep/wake, RAS paging, ACQ, load balancing) lives in
 :class:`repro.core.protocol.EcGridProtocol`.
 """
 
@@ -62,6 +63,11 @@ class GridProtocolBase(RoutingProtocol):
       or not (GRID elects purely by distance-to-center + ID).
     - ``uses_ras``: whether RETIRE handoffs first wake the grid with the
       RAS broadcast sequence (pointless when nobody sleeps).
+
+    The routing handlers the dispatch table and the membership code
+    call (``_on_envelope``, ``_on_rreq``, ``_member_registered`` ...)
+    come from :class:`~repro.core.routing.GridRoutingMixin`; nothing
+    builds this class on its own.
     """
 
     name = "grid-base"
@@ -182,11 +188,6 @@ class GridProtocolBase(RoutingProtocol):
             total += self.now - self._tenure_started
         return total
 
-    def _close_tenure(self) -> None:
-        if self._tenure_started is not None:
-            self._tenure_total += self.now - self._tenure_started
-            self._tenure_started = None
-
     def _peer_fresh_cutoff(self) -> float:
         return self.now - self.params.hello_period_s * self.params.hello_loss_tolerance
 
@@ -242,6 +243,21 @@ class GridProtocolBase(RoutingProtocol):
         if self.now - self._last_hello_sent >= 0.25 * self.params.hello_period_s:
             self._hello_soon(0.05)
 
+    def _await_gateway(self) -> None:
+        """A no-gateway suspicion (§3.2 detection): announce ourselves
+        and give a gateway a quarter HELLO period to answer before the
+        watch re-runs the election."""
+        self._hello_soon()
+        self.watch_timer.start(0.25 * self.params.hello_period_s)
+
+    def _await_election(self) -> None:
+        """Join the election a RETIRE opened: announce ourselves, then
+        wait half a HELLO period (jittered) for the winner's gflag."""
+        self._hello_soon()
+        self.watch_timer.start(
+            0.5 * self.params.hello_period_s * (1.0 + self.rng.uniform(0.0, 0.3))
+        )
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -257,22 +273,11 @@ class GridProtocolBase(RoutingProtocol):
         )
 
     def on_death(self) -> None:
-        tr = self.node.tracer
-        if tr.gateway and self.role is Role.GATEWAY:
-            # Close the gateway tenure before the role flips so trace
-            # consumers (auditors, tenure timelines) see the handover.
-            tr.emit(
-                "gateway.demote", node=self.node.id, cell=self.my_cell,
-                reason="death",
-            )
-        self._close_tenure()
+        if self.role is Role.GATEWAY:
+            self._end_tenure(reason="death")
         self.role = Role.DEAD
         self.hello_timer.stop()
         self.watch_timer.cancel()
-        self._routing_on_death()
-
-    def _routing_on_death(self) -> None:
-        """Overridden by the routing mixin to drop buffered packets."""
 
     def _hello_tick(self) -> None:
         if self.role not in (Role.ACTIVE, Role.GATEWAY):
@@ -360,13 +365,20 @@ class GridProtocolBase(RoutingProtocol):
     def demote_to_active(self) -> None:
         """Stop being the gateway (lost a conflict or retired)."""
         if self.role is Role.GATEWAY:
-            self._close_tenure()
-            tr = self.node.tracer
-            if tr.gateway:
-                tr.emit("gateway.demote", node=self.node.id, cell=self.my_cell)
+            self._end_tenure()
             self.role = Role.ACTIVE
             self.hosts.clear()
             self.my_gateway = None
+
+    def _end_tenure(self, **fields) -> None:
+        """Close the gateway tenure before the role flips, so trace
+        consumers (auditors, tenure timelines) see the handover."""
+        if self._tenure_started is not None:
+            self._tenure_total += self.now - self._tenure_started
+            self._tenure_started = None
+        tr = self.node.tracer
+        if tr.gateway:
+            tr.emit("gateway.demote", node=self.node.id, cell=self.my_cell, **fields)
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -502,11 +514,7 @@ class GridProtocolBase(RoutingProtocol):
             self.my_gateway = None
         self.cell_peers.pop(msg.gateway_id, None)
         if self.role is Role.ACTIVE:
-            self._hello_soon()
-            self.watch_timer.start(
-                0.5 * self.params.hello_period_s
-                * (1.0 + self.rng.uniform(0.0, 0.3))
-            )
+            self._await_election()
 
     # ------------------------------------------------------------------
     # Mobility (§3.2 "Gateway Maintenance")
@@ -519,6 +527,22 @@ class GridProtocolBase(RoutingProtocol):
             # interrupts (§3.2); the medium's bucket was updated by the
             # node already.
             return
+        self._enter_cell(old_cell, new_cell)
+        if self.role is Role.GATEWAY:
+            # The departing gateway wakes its grid, waits tau, then
+            # broadcasts RETIRE with its tables (§3.2).
+            self._start_retire(
+                old_cell, "gateway_moves", "move", self._finish_retire_move
+            )
+        else:
+            if self.my_gateway is not None and self.my_gateway != self.node.id:
+                self.counters.inc("leave_sent")
+                self._unicast(Leave(id=self.node.id, cell=old_cell), self.my_gateway)
+            self.enter_grid_as_newcomer()
+
+    def _enter_cell(self, old_cell: GridCoord, new_cell: GridCoord) -> None:
+        """An awake host crossed into ``new_cell``: its old grid-mates
+        are no longer peers."""
         tr = self.node.tracer
         if tr.cell:
             tr.emit(
@@ -527,41 +551,43 @@ class GridProtocolBase(RoutingProtocol):
             )
         self.my_cell = new_cell
         self.cell_peers.clear()
-        if self.role is Role.GATEWAY:
-            self._retire_because_leaving(old_cell)
-        else:
-            if self.my_gateway is not None and self.my_gateway != self.node.id:
-                self.counters.inc("leave_sent")
-                self._unicast(Leave(id=self.node.id, cell=old_cell), self.my_gateway)
-            self.enter_grid_as_newcomer()
 
-    def _retire_because_leaving(self, old_cell: GridCoord) -> None:
-        """The departing gateway wakes its grid, waits tau, then
-        broadcasts RETIRE with its tables (§3.2)."""
-        self.counters.inc("gateway_moves")
+    def retire_in_place(self) -> None:
+        """Hand off without leaving (load balance / imminent death)."""
+        if not self.is_gateway or self._retiring:
+            return
+        self._start_retire(
+            self.my_cell, "gateway_retirements", "rotate",
+            self._finish_retire_in_place,
+        )
+
+    def _start_retire(self, cell: GridCoord, counter: str, reason: str, finish) -> None:
+        """Open a RETIRE hand-off of ``cell`` (§3.2): wake its sleepers
+        with the RAS broadcast sequence, snapshot our tables, and
+        broadcast them from ``finish`` after the wait tau."""
+        self.counters.inc(counter)
         tr = self.node.tracer
         if tr.gateway:
-            tr.emit(
-                "gateway.retire", node=self.node.id, cell=old_cell,
-                reason="move",
-            )
+            tr.emit("gateway.retire", node=self.node.id, cell=cell, reason=reason)
         self._retiring = True
         if self.uses_ras:
-            self.node.ras.page_grid(self.node.radio, old_cell)
+            self.node.ras.page_grid(self.node.radio, cell)
         rtab = self.routing.snapshot()
         htab = self.hosts.snapshot()
         htab.pop(self.node.id, None)
-        retire = Retire(
-            cell=old_cell, gateway_id=self.node.id, rtab=rtab, htab=htab
-        )
-        self.sim.after(self.params.retire_wait_s, self._finish_retire_move, retire)
+        retire = Retire(cell=cell, gateway_id=self.node.id, rtab=rtab, htab=htab)
+        self.sim.after(self.params.retire_wait_s, finish, retire)
+
+    def _hand_over(self, retire: Retire) -> None:
+        """The end of every RETIRE wait: broadcast the tables, step down."""
+        self._broadcast(retire)
+        self._retiring = False
+        self.demote_to_active()
 
     def _finish_retire_move(self, retire: Retire) -> None:
         if self.role is Role.DEAD:
             return
-        self._broadcast(retire)
-        self._retiring = False
-        self.demote_to_active()
+        self._hand_over(retire)
         # §3.4 case 3: any personal route whose next grid no longer
         # neighbors us is re-pointed through the grid we just left (its
         # new gateway inherited our table via RETIRE), trading one
@@ -573,74 +599,38 @@ class GridProtocolBase(RoutingProtocol):
             self.counters.inc("routes_redirected_via_old_grid", redirected)
         self.enter_grid_as_newcomer()
 
-    def retire_in_place(self) -> None:
-        """Hand off without leaving (load balance / imminent death)."""
-        if not self.is_gateway or self._retiring:
-            return
-        self.counters.inc("gateway_retirements")
-        tr = self.node.tracer
-        if tr.gateway:
-            tr.emit(
-                "gateway.retire", node=self.node.id, cell=self.my_cell,
-                reason="rotate",
-            )
-        self._retiring = True
-        if self.uses_ras:
-            self.node.ras.page_grid(self.node.radio, self.my_cell)
-        rtab = self.routing.snapshot()
-        htab = self.hosts.snapshot()
-        htab.pop(self.node.id, None)
-        retire = Retire(
-            cell=self.my_cell, gateway_id=self.node.id, rtab=rtab, htab=htab
-        )
-        self.sim.after(self.params.retire_wait_s, self._finish_retire_in_place, retire)
-
     def _finish_retire_in_place(self, retire: Retire) -> None:
         if self.role is Role.DEAD:
             return
-        self._broadcast(retire)
-        self._retiring = False
-        self.demote_to_active()
+        self._hand_over(retire)
         # Participate in the election we just triggered.
-        self._hello_soon()
-        self.watch_timer.start(
-            0.5 * self.params.hello_period_s * (1.0 + self.rng.uniform(0.0, 0.3))
-        )
+        self._await_election()
 
     def enter_grid_as_newcomer(self) -> None:
         """§3.2 'hosts move into a new grid': broadcast HELLO; if no
         gateway answers within a HELLO period, the grid is empty and we
         declare ourselves."""
-        self.role = Role.ACTIVE
+        self._resume_active()
         self.my_gateway = None
-        self.my_cell = self.node.cell()
-        if not self.hello_timer.running:
-            self.hello_timer.start(initial_delay=self.params.hello_period_s)
         self._hello_soon(0.05)
         self.watch_timer.start(
             self.params.hello_period_s * (1.0 + self.rng.uniform(0.05, 0.25))
         )
 
-    # ------------------------------------------------------------------
-    # Hooks the routing mixin provides
-    # ------------------------------------------------------------------
-    def _on_envelope(self, env: DataEnvelope, sender_id: int) -> None:
-        raise NotImplementedError
+    def _resume_active(self) -> None:
+        """Every way back to ACTIVE (newcomer, woken sleeper, GAF
+        discovery): take the current cell and keep the HELLO period
+        running.  Powering the radio up is the caller's business."""
+        self.role = Role.ACTIVE
+        self.my_cell = self.node.cell()
+        if not self.hello_timer.running:
+            self.hello_timer.start(initial_delay=self.params.hello_period_s)
 
-    def _on_rreq(self, msg: Rreq) -> None:
-        raise NotImplementedError
-
-    def _on_rrep(self, msg: Rrep) -> None:
-        raise NotImplementedError
-
-    def _on_rerr(self, msg: Rerr) -> None:
-        raise NotImplementedError
-
-    def _flush_host_buffer(self, host_id: int) -> None:
-        raise NotImplementedError
-
-    def _member_registered(self, host_id: int) -> None:
-        raise NotImplementedError
-
-    def _reroute_host_buffer(self, host_id: int) -> None:
-        raise NotImplementedError
+    def _enter_sleep(self) -> None:
+        """Turn the transceiver off as a non-gateway member (ECGRID's
+        idle sleep, GAF's duty cycle); the caller arms the wake-up."""
+        self.role = Role.SLEEPING
+        self.counters.inc("sleeps")
+        self.hello_timer.stop()
+        self.watch_timer.cancel()
+        self.node.go_to_sleep()

@@ -18,32 +18,17 @@ ECGRID energy-conserving:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.base import GridProtocolBase, Role
+from repro.core.base import Role
 from repro.core.messages import Acq, Leave, SleepNotify
 from repro.core.routing import GridRoutingMixin
 from repro.des.timer import Timer
 from repro.energy.profile import EnergyLevel
-from repro.metrics.collectors import Counters
 from repro.mobility.base import next_cell_crossing
-from repro.mobility.dwell import estimate_dwell_time
 from repro.net.packet import DataPacket
 from repro.protocols.base import ProtocolParams
 
-if False:  # pragma: no cover - typing only
-    from repro.net.node import Node
 
-
-class GridFamilyProtocol(GridRoutingMixin):
-    """Concrete composition of the shared base + the routing engine."""
-
-    def __init__(self, node, params: ProtocolParams, counters: Optional[Counters] = None):
-        super().__init__(node, params, counters)
-        self._init_routing()
-
-
-class EcGridProtocol(GridFamilyProtocol):
+class EcGridProtocol(GridRoutingMixin):
     """The paper's protocol."""
 
     name = "ecgrid"
@@ -102,8 +87,7 @@ class EcGridProtocol(GridFamilyProtocol):
             return
         self.counters.inc("gateway_unreachable")
         self.my_gateway = None
-        self._hello_soon()
-        self.watch_timer.start(0.25 * self.params.hello_period_s)
+        self._await_gateway()
 
     def _sleep_now(self) -> None:
         if self.role is not Role.ACTIVE:
@@ -111,13 +95,9 @@ class EcGridProtocol(GridFamilyProtocol):
         if self.node.mac.queue_length > 0:
             self._arm_idle()
             return
-        self.role = Role.SLEEPING
-        self.counters.inc("sleeps")
-        self.hello_timer.stop()
-        self.watch_timer.cancel()
         self.idle_timer.cancel()
         self._sleep_cell = self.node.cell()
-        self.node.go_to_sleep()
+        self._enter_sleep()
         self._arm_dwell()
 
     def _arm_dwell(self) -> None:
@@ -133,13 +113,7 @@ class EcGridProtocol(GridFamilyProtocol):
                 max(raw, self.params.min_dwell_s), self.params.max_dwell_s
             )
         else:
-            dwell = estimate_dwell_time(
-                self.node.position(),
-                self.node.velocity(),
-                self.node.grid,
-                self.params.min_dwell_s,
-                self.params.max_dwell_s,
-            )
+            dwell = self._dwell_estimate()
         self.dwell_timer.start(dwell)
 
     def _on_dwell_expired(self) -> None:
@@ -165,10 +139,7 @@ class EcGridProtocol(GridFamilyProtocol):
     def _wake_into_active(self) -> None:
         self.dwell_timer.cancel()
         self.node.wake_up()
-        self.role = Role.ACTIVE
-        self.my_cell = self.node.cell()
-        if not self.hello_timer.running:
-            self.hello_timer.start(initial_delay=self.params.hello_period_s)
+        self._resume_active()
 
     # ------------------------------------------------------------------
     # RAS pages
@@ -213,8 +184,7 @@ class EcGridProtocol(GridFamilyProtocol):
         if self.role is not Role.ACTIVE:
             return
         self.counters.inc("no_gateway_events")
-        self._hello_soon()
-        self.watch_timer.start(0.25 * self.params.hello_period_s)
+        self._await_gateway()
 
     def _on_acq(self, msg: Acq, sender_id: int) -> None:
         if not self.is_gateway or msg.cell != self.my_cell:

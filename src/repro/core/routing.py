@@ -1,12 +1,12 @@
 """Grid-by-grid route discovery and data forwarding (paper §3.3–3.4).
 
-Mixed into :class:`repro.core.base.GridProtocolBase`.  Implements the
-AODV-derived machinery GRID and ECGRID share: region-confined RREQ
-flooding between gateways, reverse-pointer RREP return, grid-based
-routing tables, data forwarding through neighbor gateways, buffering
-during discovery, RERR on forwarding breaks, and — for protocols that
-page (ECGRID) — buffering + RAS wakeup for sleeping in-grid
-destinations.
+Built on :class:`repro.core.base.GridProtocolBase`; GRID, ECGRID and
+GAF all subclass it.  Implements the AODV-derived machinery they
+share: region-confined RREQ flooding between gateways, reverse-pointer
+RREP return, grid-based routing tables, data forwarding through
+neighbor gateways, buffering during discovery, RERR on forwarding
+breaks, and — for protocols that page (ECGRID) — buffering + RAS
+wakeup for sleeping in-grid destinations.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from repro.core.messages import DataEnvelope, Rerr, Rrep, Rreq
 from repro.des.timer import Timer
 from repro.geo.grid import GridCoord
 from repro.geo.region import bounding_region, whole_map_region
+from repro.metrics.collectors import Counters
 from repro.net.packet import DataPacket
+from repro.protocols.base import ProtocolParams
 
 #: Cap on the remembered (src, rreq_id) duplicate-detection keys.
 _SEEN_RREQ_LIMIT = 8192
@@ -89,7 +91,10 @@ class GridRoutingMixin(GridProtocolBase):
     _page_flush_delay_s = 0.005
     _page_attempt_limit = 2
 
-    def _init_routing(self) -> None:
+    def __init__(
+        self, node, params: ProtocolParams, counters: Optional[Counters] = None
+    ) -> None:
+        super().__init__(node, params, counters)
         self.seq = 0
         self._rreq_counter = 0
         #: Recently seen (src, rreq_id) keys, oldest first (the dict's
@@ -101,24 +106,9 @@ class GridRoutingMixin(GridProtocolBase):
         #: active host, e.g. mid-election); a deque from the first
         #: queued packet on.
         self.pending_local: Union[Deque[DataPacket], Tuple[()]] = _NO_PACKETS
+        #: Gateway-side buffers and paging state for sleeping in-grid
+        #: destinations.
         self._paging = _Paging()
-
-    @property
-    def host_buffers(self) -> Dict[int, Deque[DataPacket]]:
-        """Gateway-side buffers for sleeping in-grid destinations."""
-        return self._paging.buffers
-
-    @property
-    def _page_attempts(self) -> Dict[int, int]:
-        return self._paging.attempts
-
-    @property
-    def _page_flush_pending(self) -> Set[int]:
-        return self._paging.flush_pending
-
-    @property
-    def _paging_epoch(self) -> int:
-        return self._paging.epoch
 
     # ------------------------------------------------------------------
     # Application entry
@@ -158,8 +148,7 @@ class GridRoutingMixin(GridProtocolBase):
         self._queue_local(packet)
         if self.role is Role.ACTIVE:
             self.my_gateway = None
-            self._hello_soon()
-            self.watch_timer.start(0.25 * self.params.hello_period_s)
+            self._await_gateway()
 
     def _queue_local(self, packet: DataPacket) -> None:
         queue = self.pending_local
@@ -207,12 +196,13 @@ class GridRoutingMixin(GridProtocolBase):
             while p.queue:
                 self._queue_local(p.queue.popleft())
         self.pending.clear()
-        for buf in self.host_buffers.values():
+        for buf in self._paging.buffers.values():
             while buf:
                 self._queue_local(buf.popleft())
         self._paging.end_tenure()
 
-    def _routing_on_death(self) -> None:
+    def on_death(self) -> None:
+        super().on_death()
         for p in self.pending.values():
             p.timer.cancel()
             while p.queue:
@@ -220,7 +210,7 @@ class GridRoutingMixin(GridProtocolBase):
         self.pending.clear()
         while self.pending_local:
             self._drop(self.pending_local.popleft(), "node_died")
-        for buf in self.host_buffers.values():
+        for buf in self._paging.buffers.values():
             while buf:
                 self._drop(buf.popleft(), "node_died")
         self._paging.end_tenure()
@@ -301,7 +291,7 @@ class GridRoutingMixin(GridProtocolBase):
         self._unicast(
             env,
             dest,
-            on_ok=lambda _m, _d: self._page_attempts.pop(dest, None),
+            on_ok=lambda _m, _d: self._paging.attempts.pop(dest, None),
             on_fail=lambda _m, _d: self._in_grid_failed(packet, dest),
         )
 
@@ -311,14 +301,14 @@ class GridRoutingMixin(GridProtocolBase):
             return
         if self.role is not Role.GATEWAY:
             # We demoted while the unicast was in flight.  Buffering
-            # into ``host_buffers`` here would strand the packet (only
+            # into the host buffers here would strand the packet (only
             # gateways flush those buffers) and charging the failure to
             # the host would poison the successor's view of it; requeue
             # for whichever gateway we end up with instead.
             self._queue_local(packet)
             return
         if self.page_sleeping_hosts:
-            attempts = self._page_attempts.get(dest, 0)
+            attempts = self._paging.attempts.get(dest, 0)
             if attempts < self._page_attempt_limit:
                 # The host table said awake but the host is not
                 # reachable: assume it fell asleep and page it.
@@ -338,32 +328,33 @@ class GridRoutingMixin(GridProtocolBase):
         flight: either one is already scheduled, or a fresh page + flush
         is issued here.  (The seed code skipped the flush when a page
         had been sent before, so a packet buffered after the previous
-        flush fired — the `_in_grid_failed` re-page path — sat in
-        ``host_buffers`` forever.)  Paging bursts per buffering episode
+        flush fired — the `_in_grid_failed` re-page path — sat in its
+        host buffer forever.)  Paging bursts per buffering episode
         are capped at ``_page_attempt_limit``; exhausting the budget
         drops the buffer and forgets the host, like any unreachable
         in-grid destination.
         """
-        buf = self.host_buffers.setdefault(dest, deque())
+        paging = self._paging
+        buf = paging.buffers.setdefault(dest, deque())
         if packet is not None:
             if len(buf) >= self.params.buffer_limit:
                 self._drop(buf.popleft(), "buffer_overflow")
             buf.append(packet)
-        if dest in self._page_flush_pending:
+        if dest in paging.flush_pending:
             # The in-flight flush will push this packet too.
             self._trace_page_state(dest)
             return
-        attempts = self._page_attempts.get(dest, 0)
+        attempts = paging.attempts.get(dest, 0)
         if attempts >= self._page_attempt_limit:
             self._drop_host_buffer(dest, "page_exhausted")
             return
-        self._page_attempts[dest] = attempts + 1
+        paging.attempts[dest] = attempts + 1
         self.counters.inc("pages_sent")
         self.node.ras.page_host(self.node.radio, dest)
-        self._page_flush_pending.add(dest)
+        paging.flush_pending.add(dest)
         self.sim.after(
             self._page_flush_delay_s, self._flush_host_buffer, dest,
-            self._paging_epoch,
+            paging.epoch,
         )
         self._trace_page_state(dest)
 
@@ -375,12 +366,13 @@ class GridRoutingMixin(GridProtocolBase):
         reversed — must not touch the current episode's state.  Direct
         calls (``_member_registered``) pass no epoch and always run.
         """
-        if epoch is not None and epoch != self._paging_epoch:
+        paging = self._paging
+        if epoch is not None and epoch != paging.epoch:
             return
-        self._page_flush_pending.discard(dest)
+        paging.flush_pending.discard(dest)
         if self.role is not Role.GATEWAY:
             return
-        buf = self.host_buffers.pop(dest, None)
+        buf = paging.buffers.pop(dest, None)
         if not buf:
             return
         self.hosts.mark_active(dest)
@@ -391,8 +383,8 @@ class GridRoutingMixin(GridProtocolBase):
         """Give up on an in-grid destination: drop its buffer, forget
         its paging state, and remove it from the host table so the next
         packet goes through ordinary discovery."""
-        buf = self.host_buffers.pop(dest, None)
-        self._page_attempts.pop(dest, None)
+        buf = self._paging.buffers.pop(dest, None)
+        self._paging.attempts.pop(dest, None)
         self.hosts.remove(dest)
         if not buf:
             return
@@ -414,11 +406,11 @@ class GridRoutingMixin(GridProtocolBase):
         flush in flight."""
         tr = self.node.tracer
         if tr.page:
-            buf = self.host_buffers.get(dest)
+            buf = self._paging.buffers.get(dest)
             tr.emit(
                 "page.buffer", node=self.node.id, dest=dest,
                 qlen=len(buf) if buf else 0,
-                pending=dest in self._page_flush_pending,
+                pending=dest in self._paging.flush_pending,
             )
 
     def _member_registered(self, dest: int) -> None:
@@ -434,8 +426,8 @@ class GridRoutingMixin(GridProtocolBase):
     def _reroute_host_buffer(self, dest: int) -> None:
         """The host left the grid: route its buffered packets normally
         (discovery will find its new grid once it re-registers)."""
-        buf = self.host_buffers.pop(dest, None)
-        self._page_attempts.pop(dest, None)
+        buf = self._paging.buffers.pop(dest, None)
+        self._paging.attempts.pop(dest, None)
         if not buf:
             return
         while buf:
@@ -547,31 +539,14 @@ class GridRoutingMixin(GridProtocolBase):
     def _on_rreq(self, msg: Rreq) -> None:
         if self.role is not Role.GATEWAY:
             return  # only gateways participate in route searching
-        key = (msg.src, msg.rreq_id)
-        if key in self._seen_rreq:
+        if not self._first_copy(msg):
             return
-        self._remember_rreq(key)
         if msg.region is not None and not msg.region.contains(self.my_cell):
             return  # outside the searching area: ignore (§3.3)
-        # Reverse pointer to the requester, via the previous grid.
-        if msg.from_cell != self.my_cell:
-            self.routing.update(
-                msg.src, msg.from_cell, msg.s_seq, self.now,
-                self.params.route_lifetime_s,
-            )
-        self.location_cache[msg.src] = msg.origin_cell
+        self._learn_requester(msg)
         if msg.dst == self.node.id or self.hosts.is_known(msg.dst):
             # We are the destination('s gateway): answer (§3.3).
-            self.seq += 1
-            rep = Rrep(
-                src=msg.src,
-                dst=msg.dst,
-                d_seq=self.seq,
-                dest_cell=self.my_cell,
-                from_cell=self.my_cell,
-            )
-            self.counters.inc("rrep_originated")
-            self._send_rrep_toward(rep, msg.src)
+            self._answer_rreq(msg)
         else:
             self.counters.inc("rreq_forwarded")
             # Direct construction instead of ``dataclasses.replace``:
@@ -584,6 +559,37 @@ class GridRoutingMixin(GridProtocolBase):
                 from_cell=self.my_cell, origin_cell=msg.origin_cell,
                 hops=msg.hops + 1,
             ))
+
+    def _first_copy(self, msg: Rreq) -> bool:
+        """Remember the request; False if we have seen it before."""
+        key = (msg.src, msg.rreq_id)
+        if key in self._seen_rreq:
+            return False
+        self._remember_rreq(key)
+        return True
+
+    def _learn_requester(self, msg: Rreq) -> None:
+        """Reverse pointer to the requester, via the previous grid, and
+        its cell for later searches."""
+        if msg.from_cell != self.my_cell:
+            self.routing.update(
+                msg.src, msg.from_cell, msg.s_seq, self.now,
+                self.params.route_lifetime_s,
+            )
+        self.location_cache[msg.src] = msg.origin_cell
+
+    def _answer_rreq(self, msg: Rreq) -> None:
+        """Originate the RREP for ``msg.dst``, found in our cell."""
+        self.seq += 1
+        rep = Rrep(
+            src=msg.src,
+            dst=msg.dst,
+            d_seq=self.seq,
+            dest_cell=self.my_cell,
+            from_cell=self.my_cell,
+        )
+        self.counters.inc("rrep_originated")
+        self._send_rrep_toward(rep, msg.src)
 
     def _send_rrep_toward(self, rep: Rrep, requester: int) -> None:
         if requester == self.node.id:

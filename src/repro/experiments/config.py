@@ -154,6 +154,16 @@ class ExperimentConfig:
             )
         # The scenario's range checks are the network's own list.
         self.network_config().validate()
+        # Flows run between two distinct hosts, drawn from the Model-1
+        # endpoints when there are any (GAF), else from every host.
+        if self.n_flows > 0:
+            field = "n_endpoints" if self.endpoints > 0 else "n_hosts"
+            candidates = self.endpoints or self.n_hosts
+            if candidates < 2:
+                raise ValueError(
+                    f"{field}: flows need at least two hosts to run "
+                    f"between, got {candidates}"
+                )
 
     def network_config(self) -> "NetworkConfig":
         """The scenario this config describes, as

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.core.base import Role
-from repro.core.messages import DataEnvelope, Hello, Rrep, Rreq
-from repro.core.protocol import GridFamilyProtocol
+from repro.core.messages import DataEnvelope, Hello, Rreq
+from repro.core.routing import GridRoutingMixin
 from repro.des.timer import Timer
 from repro.geo.grid import GridCoord
 from repro.metrics.collectors import Counters
@@ -84,7 +84,7 @@ def _rank(
     return (1 if active_state else 0, bucket, -node_id)
 
 
-class GafProtocol(GridFamilyProtocol):
+class GafProtocol(GridRoutingMixin):
     """One GAF node (regular or Model-1 endpoint)."""
 
     name = "gaf"
@@ -93,7 +93,7 @@ class GafProtocol(GridFamilyProtocol):
     page_sleeping_hosts = False   # GAF's defining limitation
 
     _dispatch = {
-        **GridFamilyProtocol._dispatch,
+        **GridRoutingMixin._dispatch,
         GafDiscovery: ("_on_hello", False),
     }
 
@@ -130,7 +130,7 @@ class GafProtocol(GridFamilyProtocol):
                      self.gaf.enat_quantum_s)
 
     def _fresh_gaf_peers(self):
-        cutoff = self.now - self.params.hello_period_s * self.params.hello_loss_tolerance
+        cutoff = self._peer_fresh_cutoff()
         return [
             (nid, active, enat)
             for nid, (active, enat, eligible, t) in self.gaf_peers.items()
@@ -154,11 +154,8 @@ class GafProtocol(GridFamilyProtocol):
 
     def _enter_discovery(self, initial: bool = False) -> None:
         self.node.wake_up()
-        self.role = Role.ACTIVE
-        self.my_cell = self.node.cell()
+        self._resume_active()
         self.my_gateway = None
-        if not self.hello_timer.running:
-            self.hello_timer.start(initial_delay=self.params.hello_period_s)
         self._hello_soon(0.5 * self.gaf.discovery_window_s)
         jitter = self.rng.uniform(0.0, 0.2 * self.gaf.discovery_window_s)
         self.decision_timer.start(self.gaf.discovery_window_s + jitter)
@@ -205,12 +202,8 @@ class GafProtocol(GridFamilyProtocol):
     def _gaf_sleep(self) -> None:
         if self.role is not Role.ACTIVE or self.node.is_endpoint:
             return
-        self.role = Role.SLEEPING
-        self.counters.inc("sleeps")
-        self.hello_timer.stop()
-        self.watch_timer.cancel()
         self.decision_timer.cancel()
-        self.node.go_to_sleep()
+        self._enter_sleep()
         base = self.gaf.sleep_time_s
         jit = self.gaf.sleep_jitter
         self.sleep_timer.start(base * self.rng.uniform(1.0 - jit, 1.0 + jit))
@@ -223,20 +216,16 @@ class GafProtocol(GridFamilyProtocol):
     # ------------------------------------------------------------------
     # Beacons
     # ------------------------------------------------------------------
-    def _send_hello(self) -> None:
-        self._last_hello_sent = self.now
-        self.counters.inc("hello_sent")
+    def _hello_message(self, gflag: bool) -> GafDiscovery:
         me = self.self_candidate()
-        self._broadcast(
-            GafDiscovery(
-                id=self.node.id,
-                cell=self.my_cell,
-                gflag=self.is_gateway,
-                level=me.level,
-                dist=me.dist,
-                enat=self._enat(),
-                eligible=not self.node.is_endpoint,
-            )
+        return GafDiscovery(
+            id=self.node.id,
+            cell=self.my_cell,
+            gflag=gflag,
+            level=me.level,
+            dist=me.dist,
+            enat=self._enat(),
+            eligible=not self.node.is_endpoint,
         )
 
     def _on_hello(self, h: Hello) -> None:
@@ -315,14 +304,7 @@ class GafProtocol(GridFamilyProtocol):
     def on_cell_changed(self, old_cell: GridCoord, new_cell: GridCoord) -> None:
         if self.role in (Role.SLEEPING, Role.DEAD):
             return  # a sleeping GAF node sorts itself out at wakeup
-        tr = self.node.tracer
-        if tr.cell:
-            tr.emit(
-                "cell.enter", node=self.node.id, old=old_cell,
-                new=new_cell, role=self.role.value,
-            )
-        self.my_cell = new_cell
-        self.cell_peers.clear()
+        self._enter_cell(old_cell, new_cell)
         self.gaf_peers.clear()
         if self.role is Role.GATEWAY:
             # No handoff protocol in GAF: just vacate the role.
@@ -339,26 +321,11 @@ class GafProtocol(GridFamilyProtocol):
     # ------------------------------------------------------------------
     def _on_rreq(self, msg: Rreq) -> None:
         if msg.dst == self.node.id and not self.is_gateway:
-            key = (msg.src, msg.rreq_id)
-            if key in self._seen_rreq:
-                return
-            self._remember_rreq(key)
-            if msg.from_cell != self.my_cell:
-                self.routing.update(
-                    msg.src, msg.from_cell, msg.s_seq, self.now,
-                    self.params.route_lifetime_s,
-                )
-            self.location_cache[msg.src] = msg.origin_cell
-            self.seq += 1
-            rep = Rrep(
-                src=msg.src,
-                dst=self.node.id,
-                d_seq=self.seq,
-                dest_cell=self.my_cell,
-                from_cell=self.my_cell,
-            )
-            self.counters.inc("rrep_originated")
-            self._send_rrep_toward(rep, msg.src)
+            # An always-awake endpoint answers for itself, even from
+            # outside the search region.
+            if self._first_copy(msg):
+                self._learn_requester(msg)
+                self._answer_rreq(msg)
             return
         super()._on_rreq(msg)
 

@@ -16,10 +16,10 @@ paper's contribution.
 
 from __future__ import annotations
 
-from repro.core.protocol import GridFamilyProtocol
+from repro.core.routing import GridRoutingMixin
 
 
-class GridProtocol(GridFamilyProtocol):
+class GridProtocol(GridRoutingMixin):
     """The non-energy-aware baseline."""
 
     name = "grid"
@@ -28,5 +28,5 @@ class GridProtocol(GridFamilyProtocol):
     page_sleeping_hosts = False
 
     # No member of the family sleeps unless something actively puts it
-    # to sleep; GridFamilyProtocol never does, so no overrides needed:
+    # to sleep; the shared machinery never does, so no overrides needed:
     # hosts stay in IDLE whenever not transmitting or receiving.

@@ -56,6 +56,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -190,7 +191,11 @@ class JobServer:
             raise ProtocolError(f"bad content-length {raw_length!r}")
         length = int(raw_length)
         if length > MAX_BODY_BYTES:
-            raise asyncio.IncompleteReadError(b"", length)
+            raise ProtocolError(
+                f"content-length {length} exceeds the {MAX_BODY_BYTES}-byte "
+                f"body limit",
+                status=413,
+            )
         body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)
         query = {k: v[-1] for k, v in parse_qs(split.query).items()}

@@ -3,7 +3,7 @@
 The seed code's ``_buffer_and_page`` skipped scheduling a flush when a
 page had already been sent for the destination.  On the
 page -> flush -> delivery-fails -> re-page path (``_in_grid_failed``),
-the re-buffered packet therefore sat in ``host_buffers`` forever: no
+the re-buffered packet therefore sat in its host buffer forever: no
 flush was in flight and none would ever be scheduled again.  These
 tests walk that exact path against a silently crashed destination and
 assert the two properties the fix guarantees:
@@ -34,8 +34,8 @@ def buffered_without_flush(proto):
     """Destinations with buffered packets but no flush in flight — the
     seed bug's signature.  Must stay empty at every event boundary."""
     return [
-        dest for dest, buf in proto.host_buffers.items()
-        if buf and dest not in proto._page_flush_pending
+        dest for dest, buf in proto._paging.buffers.items()
+        if buf and dest not in proto._paging.flush_pending
     ]
 
 
@@ -62,8 +62,8 @@ def test_page_flush_fail_repage_path_drops_instead_of_sticking():
     # The paging budget was spent (the re-page really happened) ...
     assert net.counters.get("pages_sent", 0) >= pages_before + 2
     # ... and the packet was dropped with a reason, not leaked.
-    assert member.id not in proto.host_buffers
-    assert member.id not in proto._page_attempts
+    assert member.id not in proto._paging.buffers
+    assert member.id not in proto._paging.attempts
     assert packet.uid in net.packet_log.dropped
     _, reason = net.packet_log.dropped[packet.uid]
     assert reason in ("host_unreachable", "page_exhausted")
@@ -83,7 +83,7 @@ def test_buffer_entry_does_not_outlive_its_host():
     proto._deliver_in_grid(p1, member.id)
     net.sim.run(until=net.sim.now + 10.0)
 
-    assert member.id not in proto.host_buffers
+    assert member.id not in proto._paging.buffers
     # The host table forgot the dead member entirely.
     assert proto.hosts.is_awake(member.id) is None
 
@@ -93,7 +93,7 @@ def test_buffer_entry_does_not_outlive_its_host():
     gw.send_data(p2)
     net.sim.run(until=net.sim.now + 10.0)
     assert buffered_without_flush(proto) == []
-    assert member.id not in proto.host_buffers
+    assert member.id not in proto._paging.buffers
     assert p2.uid not in net.packet_log.delivered_at
 
 
@@ -110,6 +110,6 @@ def test_overflowing_page_buffer_drops_oldest_with_reason():
         packets.append(p)
         proto._buffer_and_page(member.id, p)
     # Oldest packets spilled immediately, with per-packet accounting.
-    assert len(proto.host_buffers[member.id]) == limit
+    assert len(proto._paging.buffers[member.id]) == limit
     assert net.packet_log.drop_reasons().get("buffer_overflow", 0) == 3
     assert net.packet_log.dropped[packets[0].uid][1] == "buffer_overflow"

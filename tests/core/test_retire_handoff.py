@@ -10,7 +10,7 @@ attempt the new episode never issued, so the successor episode hit
 ``_page_attempt_limit`` early and dropped packets as ``page_exhausted``
 prematurely.
 
-The fix: every demotion/death bumps ``_paging_epoch``; scheduled
+The fix: every demotion/death bumps ``_paging.epoch``; scheduled
 flushes carry the epoch they were issued under and no-op once it has
 moved on.  (Cancelling the events instead would change the dispatch
 sequence and break the golden kernel traces.)
@@ -41,30 +41,30 @@ def test_stale_epoch_flush_is_a_noop():
     p = DataPacket(src=gw.id, dst=member.id, created_at=net.sim.now)
     net.packet_log.on_sent(p)
     proto.hosts.mark_sleeping(member.id)
-    proto.host_buffers[member.id] = deque([p])
-    proto._page_flush_pending.add(member.id)
+    proto._paging.buffers[member.id] = deque([p])
+    proto._paging.flush_pending.add(member.id)
 
-    proto._flush_host_buffer(member.id, proto._paging_epoch - 1)
+    proto._flush_host_buffer(member.id, proto._paging.epoch - 1)
 
-    assert member.id in proto._page_flush_pending
-    assert [q.uid for q in proto.host_buffers[member.id]] == [p.uid]
+    assert member.id in proto._paging.flush_pending
+    assert [q.uid for q in proto._paging.buffers[member.id]] == [p.uid]
 
-    proto._flush_host_buffer(member.id, proto._paging_epoch)
-    assert member.id not in proto._page_flush_pending
-    assert member.id not in proto.host_buffers
+    proto._flush_host_buffer(member.id, proto._paging.epoch)
+    assert member.id not in proto._paging.flush_pending
+    assert member.id not in proto._paging.buffers
 
 
 def test_demotion_and_death_bump_the_paging_epoch():
     net, gw, member = settle_single_cell()
     proto = gw.protocol
-    epoch = proto._paging_epoch
+    epoch = proto._paging.epoch
     proto.demote_to_active()
-    assert proto._paging_epoch == epoch + 1
+    assert proto._paging.epoch == epoch + 1
 
     other = member.protocol
-    epoch = other._paging_epoch
+    epoch = other._paging.epoch
     member.crash()
-    assert other._paging_epoch == epoch + 1
+    assert other._paging.epoch == epoch + 1
 
 
 def test_stale_flush_does_not_steal_the_new_episodes_page():
@@ -83,10 +83,10 @@ def test_stale_flush_does_not_steal_the_new_episodes_page():
     proto.hosts.mark_active(member.id)
     proto.hosts.mark_sleeping(member.id)
     proto._buffer_and_page(member.id, None)      # episode 1: flush at t0+5ms
-    assert member.id in proto._page_flush_pending
+    assert member.id in proto._paging.flush_pending
 
     proto.demote_to_active()                     # epoch bump, state cleared
-    assert member.id not in proto._page_flush_pending
+    assert member.id not in proto._paging.flush_pending
     proto.become_gateway()                       # re-elected immediately
 
     net.sim.run(until=t0 + 0.002)
@@ -95,19 +95,19 @@ def test_stale_flush_does_not_steal_the_new_episodes_page():
     proto.hosts.mark_active(member.id)
     proto.hosts.mark_sleeping(member.id)
     proto._buffer_and_page(member.id, p2)        # episode 2: flush at t0+7ms
-    assert proto._page_attempts[member.id] == 1  # fresh budget, not inherited
+    assert proto._paging.attempts[member.id] == 1  # fresh budget, not inherited
 
     # Past the stale flush (t0+5ms), before the real one (t0+7ms): the
     # new episode's state must be untouched.
     net.sim.run(until=t0 + 0.006)
-    assert member.id in proto._page_flush_pending
-    assert [q.uid for q in proto.host_buffers[member.id]] == [p2.uid]
+    assert member.id in proto._paging.flush_pending
+    assert [q.uid for q in proto._paging.buffers[member.id]] == [p2.uid]
 
     # The episode then runs its ordinary course against the dead host:
     # budgeted retries, then a reasoned drop — never a leak.
     net.sim.run(until=t0 + 5.0)
-    assert member.id not in proto.host_buffers
-    assert member.id not in proto._page_flush_pending
+    assert member.id not in proto._paging.buffers
+    assert member.id not in proto._paging.flush_pending
     assert p2.uid in net.packet_log.dropped
     _, reason = net.packet_log.dropped[p2.uid]
     assert reason in ("host_unreachable", "page_exhausted")

@@ -197,7 +197,7 @@ def test_death_clears_routing_state():
     net.nodes[0]._on_depleted()
     assert not gw.pending
     assert not gw.pending_local
-    assert not gw.host_buffers
+    assert not gw._paging.buffers
 
 
 # ----------------------------------------------------------------------

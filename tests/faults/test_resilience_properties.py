@@ -38,11 +38,10 @@ def check_page_buffers(network, failures):
     """The fixed bookkeeping, checked live: a non-empty gateway buffer
     always has a flush in flight, and only on a living host."""
     for node in network.nodes:
-        proto = node.protocol
-        buffers = getattr(proto, "host_buffers", None)
-        if not buffers:
+        paging = getattr(node.protocol, "_paging", None)
+        if paging is None or not paging.buffers:
             continue
-        for dest, buf in buffers.items():
+        for dest, buf in paging.buffers.items():
             if not buf:
                 continue
             if not node.alive:
@@ -50,7 +49,7 @@ def check_page_buffers(network, failures):
                     f"t={network.sim.now}: dead node {node.id} still "
                     f"buffers for {dest}"
                 )
-            if dest not in proto._page_flush_pending:
+            if dest not in paging.flush_pending:
                 failures.append(
                     f"t={network.sim.now}: node {node.id} buffers for "
                     f"{dest} with no flush in flight"

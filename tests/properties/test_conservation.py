@@ -88,7 +88,8 @@ def in_flight_uids(net):
                     note(pkt)
         for pkt in getattr(proto, "pending_local", ()):
             note(pkt)
-        for buf in getattr(proto, "host_buffers", {}).values():
+        paging = getattr(proto, "_paging", None)
+        for buf in paging.buffers.values() if paging is not None else ():
             for pkt in buf:
                 note(pkt)
         for buf in getattr(proto, "_undeliverable", {}).values():  # DSDV

@@ -237,6 +237,31 @@ def test_malformed_content_length_is_400(length):
     asyncio.run(scenario())
 
 
+def test_oversized_body_is_413():
+    # Used to read back nothing: the oversized length was turned into
+    # an IncompleteReadError, which the connection handler swallows.
+    from repro.serve.app import MAX_BODY_BYTES
+
+    async def scenario():
+        async with running_server() as server:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(
+                b"POST /v1/jobs HTTP/1.1\r\nhost: t\r\n"
+                b"content-length: 5000000\r\n\r\n"
+            )
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.split()[1:3] == [b"413", b"Payload"]
+            assert str(MAX_BODY_BYTES) in json.loads(body)["detail"]
+
+    asyncio.run(scenario())
+
+
 def test_tenant_header_and_quota_429(monkeypatch):
     async def scenario():
         with gated_api_run(monkeypatch):

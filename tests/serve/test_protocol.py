@@ -264,6 +264,13 @@ def _faulted(**event):
         ("run", {**RUN, "initial_energy_j": -1}, "initial_energy_j"),
         ("run", {**RUN, "packet_bytes": -1}, "packet_bytes"),
         ("run", {**RUN, "n_endpoints": -3}, "n_endpoints"),
+        # Flows with fewer than two hosts to run between: each used to
+        # pass submit, then fail in the worker's flow draw.
+        ("run", {"protocol": "gaf", "n_endpoints": 1, "n_hosts": 8,
+                 "width_m": 300.0, "height_m": 300.0, "sim_time_s": 10.0},
+         "n_endpoints"),
+        ("run", {"protocol": "ecgrid", "n_hosts": 1, "width_m": 300.0,
+                 "height_m": 300.0, "sim_time_s": 10.0}, "n_hosts"),
     ],
 )
 def test_mistyped_payloads_answer_400_at_submit(kind, payload, field):
