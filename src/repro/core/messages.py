@@ -183,6 +183,7 @@ class Rerr(Message):
     src: int = 0
     dst: int = 0
     broken_cell: GridCoord = (0, 0)
+    hops: int = 0
 
 
 @dataclass

@@ -640,7 +640,7 @@ class GridRoutingMixin(GridProtocolBase):
             # while the discovery was in flight.
             self.send_data(p.queue.popleft())
 
-    def _send_rerr(self, src: int, dest: int) -> None:
+    def _send_rerr(self, src: int, dest: int, hops: int = 0) -> None:
         if src == self.node.id or self.hosts.is_known(src):
             return  # the source is local; our own repair covers it
         entry = self.routing.lookup(src, self.now)
@@ -650,13 +650,19 @@ class GridRoutingMixin(GridProtocolBase):
         if gw is None or gw == self.node.id:
             return
         self.counters.inc("rerr_sent")
-        self._unicast(Rerr(src=src, dst=dest, broken_cell=self.my_cell), gw)
+        self._unicast(
+            Rerr(src=src, dst=dest, broken_cell=self.my_cell, hops=hops), gw
+        )
 
     def _on_rerr(self, msg: Rerr) -> None:
         self.routing.invalidate(msg.dst)
         if msg.src == self.node.id or self.hosts.is_known(msg.src):
             return  # reached the source('s gateway): future sends re-discover
-        self._send_rerr(msg.src, msg.dst)
+        if msg.hops >= self.node.grid.cols * self.node.grid.rows:
+            # The RREP's bound: reverse pointers can form a cycle.
+            self.counters.inc("rerr_lost")
+            return
+        self._send_rerr(msg.src, msg.dst, msg.hops + 1)
 
     # ------------------------------------------------------------------
     # Data envelopes

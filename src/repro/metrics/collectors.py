@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -36,6 +37,9 @@ class PacketLog:
     tracer = NULL_TRACER
 
     def __init__(self) -> None:
+        #: Uids of the network's flow packets, from 1 in issue order, so
+        #: a run's packets are numbered the same in any process.
+        self.uids = itertools.count(1)
         self.sent: Dict[int, DataPacket] = {}
         self.delivered_at: Dict[int, float] = {}
         #: uid -> (time, reason) of the first protocol-level discard.

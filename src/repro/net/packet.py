@@ -19,7 +19,10 @@ BROADCAST = -1
 #: header, FCS) — a single aggregate constant, as coarse 802.11 models use.
 LINK_OVERHEAD_BYTES = 52
 
-_packet_uid = itertools.count(1)
+#: Uids of packets built outside a logged flow.  They count down from
+#: -1, so they never meet the uids each network's flows count up from 1
+#: (:attr:`repro.metrics.collectors.PacketLog.uids`).
+unlogged_uids = itertools.count(-1, -1)
 
 
 @dataclass
@@ -57,7 +60,7 @@ class DataPacket(Message):
     flow_id: int = 0
     seqno: int = 0
     created_at: float = 0.0
-    uid: int = field(default_factory=lambda: next(_packet_uid))
+    uid: int = field(default_factory=lambda: next(unlogged_uids))
     hops: int = 0
     payload: Any = None
 

@@ -9,7 +9,7 @@ versioned HTTP surface (see ``docs/serving.md``):
 - :mod:`repro.serve.jobs` — the job table (states, per-tenant quotas,
   dedup of identical in-flight cache keys, cache-hit fast path);
 - :mod:`repro.serve.events` — server-sent-events framing plus the
-  broker that streams job progress and trace events;
+  per-job stream that carries its state, progress and trace events;
 - :mod:`repro.serve.app` — HTTP routes and server lifecycle.
 
 Exports resolve lazily, so importing one module of the package (the
@@ -36,7 +36,7 @@ _EXPORTS = {
     "QuotaExceeded": "repro.serve.jobs",
     "UnknownJob": "repro.serve.jobs",
     # events
-    "EventBroker": "repro.serve.events",
+    "JobStream": "repro.serve.events",
     "TraceRelay": "repro.serve.events",
     "sse_frame": "repro.serve.events",
     "parse_sse": "repro.serve.events",

@@ -86,7 +86,7 @@ class ServerConfig:
 
 
 class JobServer:
-    """Owns the listening socket, the job table, and the event broker."""
+    """Owns the listening socket and the job table."""
 
     def __init__(self, config: Optional[ServerConfig] = None) -> None:
         self.config = config or ServerConfig()
@@ -113,7 +113,6 @@ class JobServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        self.table.broker.attach_loop(asyncio.get_running_loop())
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -322,7 +321,7 @@ class JobServer:
     async def _stream_events(
         self, writer: asyncio.StreamWriter, job_id: str
     ) -> None:
-        self.table.get(job_id)  # 404 before committing to a stream
+        stream = self.table.get(job_id).stream  # 404 before the 200 head
         writer.write(
             (
                 f"HTTP/1.1 200 OK\r\n"
@@ -331,7 +330,7 @@ class JobServer:
                 f"connection: close\r\n\r\n"
             ).encode("latin-1")
         )
-        backlog, queue = self.table.broker.subscribe(job_id)
+        backlog, queue = stream.subscribe()
         try:
             for event, data, seq in backlog:
                 writer.write(sse_frame(event, data, seq))
@@ -344,7 +343,7 @@ class JobServer:
                 await writer.drain()
         finally:
             if queue is not None:
-                self.table.broker.unsubscribe(job_id, queue)
+                stream.unsubscribe(queue)
 
     # ------------------------------------------------------------------
     # Response plumbing

@@ -1,4 +1,4 @@
-"""Server-sent events: wire framing plus the per-job event broker.
+"""Server-sent events: wire framing plus each job's event stream.
 
 A job's lifecycle is observable as an SSE stream
 (``GET /v1/jobs/<id>/events``) of four event types:
@@ -6,17 +6,18 @@ A job's lifecycle is observable as an SSE stream
 - ``state`` — every state transition (``queued`` → ``running`` → ...);
 - ``progress`` — per-point sweep progress (done / total / cached);
 - ``trace`` — protocol trace events, when the job was submitted with
-  ``trace=true`` (the PR 5 ring-buffered tracer streams feed these);
+  ``trace=true`` (the ring-buffered tracer streams feed these);
 - ``end`` — the terminal :class:`~repro.serve.protocol.JobView`, after
   which the stream closes.
 
-The broker mirrors the tracer's ring-buffer design: each job keeps a
-bounded history (late subscribers replay it, oldest events evicted
-first) plus live ``asyncio.Queue`` fan-out for connected streams.
-Publishing is thread-safe — simulation work happens on executor
-threads, so frames hop onto the event loop via
-``loop.call_soon_threadsafe``; history stays consistent under a plain
-lock even when no loop is attached (direct-drive unit tests).
+Every :class:`~repro.serve.jobs.Job` owns one :class:`JobStream`, which
+mirrors the tracer's ring-buffer design: a bounded history (late
+subscribers replay it, oldest frames evicted first) plus live
+``asyncio.Queue`` fan-out for connected subscribers.  Publishing is
+thread-safe — simulation work happens on executor threads, so frames
+hop onto the subscribers' event loop via ``loop.call_soon_threadsafe``;
+the history stays consistent under the stream's lock even when nobody
+has subscribed (direct-drive unit tests).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import asyncio
 import json
 import threading
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 #: Content type of the event stream responses.
 SSE_CONTENT_TYPE = "text/event-stream"
@@ -70,10 +71,10 @@ def parse_sse(text: str) -> List[Frame]:
     return frames
 
 
-class EventBroker:
-    """Per-job ring-buffered event history with live queue fan-out.
+class JobStream:
+    """One job's event stream: a bounded replay ring plus live fan-out.
 
-    ``ring`` bounds each job's replay history; evictions are counted in
+    ``ring`` bounds the replay history; frames it evicted are counted in
     :attr:`evicted` (the stream itself is unbounded for connected
     subscribers — only late-join replay is ring-limited).  A replay that
     lost frames to eviction is prefixed with a synthetic ``dropped``
@@ -81,128 +82,98 @@ class EventBroker:
     truncated history from a complete one.
     """
 
-    def __init__(self, ring: int = 4096) -> None:
+    def __init__(self, job_id: str, ring: int = 4096) -> None:
+        self.job_id = job_id
         self.ring = ring
-        self.evicted: Dict[str, int] = {}
+        self.evicted = 0
         self._lock = threading.Lock()
+        self._history: deque = deque(maxlen=ring)
+        self._seq = 0
+        self._closed = False
+        self._queues: List[asyncio.Queue] = []
+        #: The loop the subscribers run on, recorded by :meth:`subscribe`.
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._history: Dict[str, deque] = {}
-        self._seq: Dict[str, int] = {}
-        self._closed: set = set()
-        self._queues: Dict[str, List[asyncio.Queue]] = {}
-
-    def attach_loop(self, loop: asyncio.AbstractEventLoop) -> None:
-        """The loop live subscribers run on (set once at server start)."""
-        self._loop = loop
 
     # ------------------------------------------------------------------
     # Publishing (any thread)
     # ------------------------------------------------------------------
-    def open(self, job_id: str) -> None:
-        with self._lock:
-            self._history.setdefault(job_id, deque(maxlen=self.ring))
-            self._seq.setdefault(job_id, 0)
-            self._queues.setdefault(job_id, [])
-            self._closed.discard(job_id)
-
-    def publish(self, job_id: str, event: str, data: Any) -> None:
+    def publish(self, event: str, data: Any) -> None:
         """Record one frame and fan it out to live subscribers.  Safe
-        from any thread; queue delivery marshals onto the attached loop."""
+        from any thread."""
         with self._lock:
-            if job_id in self._closed:
+            if self._closed:
                 return
-            history = self._history.setdefault(job_id, deque(maxlen=self.ring))
-            self._seq[job_id] = seq = self._seq.get(job_id, 0) + 1
-            frame = (event, data, seq)
-            if len(history) == history.maxlen:
-                self.evicted[job_id] = self.evicted.get(job_id, 0) + 1
-            history.append(frame)
-            queues = list(self._queues.get(job_id, ()))
-            loop = self._loop
-        self._deliver(loop, queues, frame)
+            self._seq += 1
+            frame = (event, data, self._seq)
+            if len(self._history) == self.ring:
+                self.evicted += 1
+            self._history.append(frame)
+            self._deliver(frame)
 
-    def close(self, job_id: str) -> None:
+    def close(self) -> None:
         """Mark the stream finished: subscribers receive the ``None``
         sentinel and late subscribers replay history then end."""
         with self._lock:
-            if job_id in self._closed:
+            if self._closed:
                 return
-            self._closed.add(job_id)
-            queues = self._queues.pop(job_id, [])
-            loop = self._loop
-        self._deliver(loop, queues, None)
+            self._closed = True
+            self._deliver(None)
+            self._queues = []
 
-    @staticmethod
-    def _deliver(
-        loop: Optional[asyncio.AbstractEventLoop],
-        queues: Sequence[asyncio.Queue],
-        frame: Optional[Frame],
-    ) -> None:
-        if not queues:
+    def _deliver(self, frame: Optional[Frame]) -> None:
+        """Hand ``frame`` to every live queue on the subscribers' loop
+        (caller holds the lock, so queues see frames in id order)."""
+        if not self._queues or self._loop.is_closed():
             return
-        if loop is None or loop.is_closed():
-            return
+        queues = tuple(self._queues)
+
         def push() -> None:
             for queue in queues:
                 queue.put_nowait(frame)
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is loop:
-            push()
-        else:
-            loop.call_soon_threadsafe(push)
+
+        self._loop.call_soon_threadsafe(push)
 
     # ------------------------------------------------------------------
     # Subscribing (loop thread)
     # ------------------------------------------------------------------
-    def subscribe(self, job_id: str) -> Tuple[List[Frame], Optional[asyncio.Queue]]:
+    def subscribe(self) -> Tuple[List[Frame], Optional[asyncio.Queue]]:
         """The replayable history plus a live queue (``None`` if the
         stream is already closed).  The queue yields frames until the
-        ``None`` sentinel.  If the ring evicted frames before this
-        subscriber attached, the backlog leads with a ``dropped`` frame
-        announcing the gap."""
+        ``None`` sentinel.  Call it on the loop that reads the queue."""
+        loop = asyncio.get_running_loop()
         with self._lock:
-            backlog = self._backlog(job_id)
-            if job_id in self._closed:
+            backlog = self._backlog()
+            if self._closed:
                 return backlog, None
+            self._loop = loop
             queue: asyncio.Queue = asyncio.Queue()
-            self._queues.setdefault(job_id, []).append(queue)
+            self._queues.append(queue)
             return backlog, queue
 
-    def unsubscribe(self, job_id: str, queue: asyncio.Queue) -> None:
+    def unsubscribe(self, queue: asyncio.Queue) -> None:
         with self._lock:
-            queues = self._queues.get(job_id)
-            if queues and queue in queues:
-                queues.remove(queue)
+            if queue in self._queues:
+                self._queues.remove(queue)
 
-    def history(self, job_id: str) -> List[Frame]:
+    def history(self) -> List[Frame]:
         with self._lock:
-            return self._backlog(job_id)
+            return self._backlog()
 
-    def _backlog(self, job_id: str) -> List[Frame]:
+    def _backlog(self) -> List[Frame]:
         """Replayable frames (caller holds the lock): the ring contents,
-        preceded by a synthetic ``dropped`` frame when eviction has made
-        the replay incomplete.  The marker has no id — it is not part of
-        the job's sequence and Last-Event-ID resume must not land on it."""
-        backlog: List[Frame] = list(self._history.get(job_id, ()))
-        dropped = self.evicted.get(job_id, 0)
-        if dropped:
-            backlog.insert(
-                0,
-                (
-                    "dropped",
-                    {"job_id": job_id, "dropped": dropped, "ring": self.ring},
-                    None,
-                ),
-            )
+        led by an id-less ``dropped`` frame when eviction has made the
+        replay incomplete (the marker is not part of the id sequence)."""
+        backlog: List[Frame] = list(self._history)
+        if self.evicted:
+            gap = {"job_id": self.job_id, "dropped": self.evicted, "ring": self.ring}
+            backlog.insert(0, ("dropped", gap, None))
         return backlog
 
 
 class TraceRelay:
     """A :class:`~repro.obs.trace.Tracer` subscriber that forwards
-    protocol events into the broker as ``trace`` SSE frames.
+    protocol events of ``categories`` into a job's stream as ``trace``
+    SSE frames.
 
     Subscribing it to a job's tracer (``tracer.subscribe(relay)``)
     makes every emitted event — already ring-buffered inside the tracer
@@ -210,21 +181,9 @@ class TraceRelay:
     connected stream, live, while the run executes.
     """
 
-    def __init__(
-        self,
-        broker: EventBroker,
-        job_id: str,
-        categories: Optional[Sequence[str]] = None,
-    ) -> None:
-        if categories is None:
-            from repro.obs.trace import CATEGORIES
-
-            categories = CATEGORIES
-        self.broker = broker
-        self.job_id = job_id
+    def __init__(self, stream: JobStream, categories: Sequence[str]) -> None:
+        self.stream = stream
         self.categories = tuple(categories)
-        self.forwarded = 0
 
     def on_event(self, event: Any) -> None:
-        self.forwarded += 1
-        self.broker.publish(self.job_id, "trace", event.to_dict())
+        self.stream.publish("trace", event.to_dict())

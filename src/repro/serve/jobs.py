@@ -47,7 +47,7 @@ from repro.api import (
 )
 from repro.api import figure as api_figure
 from repro.api import run as api_run
-from repro.serve.events import EventBroker, TraceRelay
+from repro.serve.events import JobStream, TraceRelay
 from repro.serve.protocol import (
     TERMINAL_STATES,
     JobProgress,
@@ -117,6 +117,11 @@ class Job:
     error: Optional[str] = None
     result: Any = None
     cancel: threading.Event = field(default_factory=threading.Event)
+    #: Every frame the job's ``/events`` endpoint serves.
+    stream: JobStream = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.stream = JobStream(self.job_id)
 
     def view(self, deduped: bool = False) -> JobView:
         return JobView(
@@ -135,7 +140,7 @@ class Job:
 
 
 class JobTable:
-    """Owns every job, its execution, and its event stream.
+    """Owns every job and its execution; each job owns its event stream.
 
     Parameters
     ----------
@@ -160,13 +165,11 @@ class JobTable:
         concurrency: int = 2,
         max_active_per_tenant: int = 4,
         timeout_s: Optional[float] = None,
-        broker: Optional[EventBroker] = None,
     ) -> None:
         self.cache = cache
         self.sweep_workers = sweep_workers
         self.max_active_per_tenant = max_active_per_tenant
         self.timeout_s = timeout_s
-        self.broker = broker if broker is not None else EventBroker()
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, str] = {}
@@ -217,7 +220,6 @@ class JobTable:
                 policy=policy,
             )
             self._jobs[job.job_id] = job
-            self.broker.open(job.job_id)
             # Cache-hit fast path: an exact-config run answers at
             # submit time, no executor round-trip.  (Traced submits
             # always execute — the caller wants the event stream.)
@@ -235,15 +237,13 @@ class JobTable:
                     job.state = "done"
             if job.state == "queued":
                 self._inflight[key] = job.job_id
-        self.broker.publish(
-            job.job_id, "state", {"job_id": job.job_id, "state": job.state}
-        )
+        job.stream.publish("state", {"job_id": job.job_id, "state": job.state})
         # The view is taken before the executor sees the job, so a submit
         # answers the state it left the job in, however the threads run.
         view = job.view()
         if job.state == "done":
-            self.broker.publish(job.job_id, "end", asdict(view))
-            self.broker.close(job.job_id)
+            job.stream.publish("end", asdict(view))
+            job.stream.close()
         else:
             self._executor.submit(self._work, job)
         return view
@@ -345,12 +345,9 @@ class JobTable:
             from repro.obs import Tracer
 
             tracer = Tracer(categories=job.request.trace_filter)
-            relay = TraceRelay(
-                self.broker,
-                job.job_id,
-                categories=tracer.enabled_categories(),
+            tracer.subscribe(
+                TraceRelay(job.stream, tracer.enabled_categories())
             )
-            tracer.subscribe(relay)
         result = api_run(job.work, cache=self.cache, tracer=tracer)
         job.progress = JobProgress(done=1, total=1)
         return result
@@ -365,10 +362,8 @@ class JobTable:
             job.progress = JobProgress(
                 done=done, total=total, cached=counts["cached"]
             )
-            self.broker.publish(
-                job.job_id,
-                "progress",
-                {"job_id": job.job_id, **asdict(job.progress)},
+            job.stream.publish(
+                "progress", {"job_id": job.job_id, **asdict(job.progress)}
             )
 
         return progress
@@ -378,8 +373,7 @@ class JobTable:
         SSE ``progress`` frame (seeds per arm, met/capped verdicts)."""
 
         def on_round(info: Any) -> None:
-            self.broker.publish(
-                job.job_id,
+            job.stream.publish(
                 "progress",
                 {
                     "job_id": job.job_id,
@@ -432,9 +426,7 @@ class JobTable:
                 return False
             job.state = state
             job.started_s = time.time()
-        self.broker.publish(
-            job.job_id, "state", {"job_id": job.job_id, "state": state}
-        )
+        job.stream.publish("state", {"job_id": job.job_id, "state": state})
         return True
 
     def _finalize(
@@ -467,11 +459,9 @@ class JobTable:
             job.finished_s = time.time()
             if self._inflight.get(job.key) == job.job_id:
                 del self._inflight[job.key]
-        self.broker.publish(
-            job.job_id, "state", {"job_id": job.job_id, "state": state}
-        )
-        self.broker.publish(job.job_id, "end", asdict(job.view()))
-        self.broker.close(job.job_id)
+        job.stream.publish("state", {"job_id": job.job_id, "state": state})
+        job.stream.publish("end", asdict(job.view()))
+        job.stream.close()
 
     # ------------------------------------------------------------------
     # Queries and control

@@ -7,7 +7,7 @@ from typing import Optional
 from repro.des.core import Simulator
 from repro.metrics.collectors import PacketLog
 from repro.net.node import Node
-from repro.net.packet import DataPacket
+from repro.net.packet import DataPacket, unlogged_uids
 
 
 class CbrFlow:
@@ -41,6 +41,7 @@ class CbrFlow:
         self.size_bytes = size_bytes
         self.stop_s = stop_s
         self.log = log
+        self._uids = unlogged_uids if log is None else log.uids
         self.seqno = 0
         self.packets_issued = 0
         interval = 1.0 / rate_pps
@@ -70,6 +71,7 @@ class CbrFlow:
             flow_id=self.flow_id,
             seqno=self.seqno,
             created_at=self.sim.now,
+            uid=next(self._uids),
         )
         packet.size_bytes = self.size_bytes
         if self.log is not None:

@@ -147,6 +147,21 @@ def test_rerr_invalidates_route_hop_by_hop():
     assert proto0.routing.lookup(4, net.sim.now) is None
 
 
+def test_rerr_stops_at_the_grid_cell_count_in_a_reverse_pointer_loop():
+    """Two gateways whose routes toward the source point at each other
+    used to bounce one RERR between them until the entries expired."""
+    net = line_net()
+    gw1, gw2 = net.nodes[1].protocol, net.nodes[2].protocol
+    gw1.routing.update(0, gw2.my_cell, 0, net.sim.now, 100.0)
+    gw2.routing.update(0, gw1.my_cell, 0, net.sim.now, 100.0)
+    before = net.counters["rerr_sent"]
+    gw1._on_rerr(Rerr(src=0, dst=4, broken_cell=(3, 0)))
+    net.sim.run(until=net.sim.now + 3.0)
+    cells = net.grid.cols * net.grid.rows
+    assert 0 < net.counters["rerr_sent"] - before <= cells + 1
+    assert net.counters["rerr_lost"] == 1
+
+
 # ----------------------------------------------------------------------
 # RREP loop guard
 # ----------------------------------------------------------------------

@@ -115,9 +115,9 @@ def test_sliced_horizon_reproduces_golden_digests(scenario):
 class _StreamDigest:
     """Tracer subscriber hashing every event in emission order.
 
-    Packet uids come from one process-wide counter, so a run's uids
-    depend on what ran before it in the process; each is hashed as its
-    run-local ordinal (order of first appearance) instead.
+    Each packet uid is hashed as its run-local ordinal (order of first
+    appearance), so the digest does not depend on how uids are
+    numbered.
     """
 
     categories = CATEGORIES

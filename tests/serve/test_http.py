@@ -118,7 +118,7 @@ def test_run_job_full_lifecycle_over_http():
             kinds = [f[0] for f in frames]
             assert kinds[-1] == "end"
             assert "state" in kinds
-            # SSE ids are the broker's sequence numbers: increasing from 1
+            # SSE ids are the job stream's sequence numbers: increasing from 1
             ids = [f[2] for f in frames]
             assert ids == sorted(ids) and ids[0] == 1
 
@@ -141,6 +141,56 @@ def test_run_job_full_lifecycle_over_http():
 
             result = load_result(record)
             assert result.config.n_hosts == 8
+
+    asyncio.run(scenario())
+
+
+def test_subscriber_attached_while_the_job_runs_gets_live_frames(monkeypatch):
+    # The stream opens while the job is held running, so the frames
+    # published after the gate opens reach it live, not by replay.
+    async def scenario():
+        with gated_api_run(monkeypatch) as (started, release):
+            async with running_server() as server:
+                port = server.port
+                _, view = await request(
+                    port, "POST", "/v1/jobs", {"kind": "run", "payload": TINY}
+                )
+                job_id = view["job_id"]
+                assert started.wait(30.0)
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(
+                    f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n"
+                    f"host: t\r\n\r\n".encode()
+                )
+                await writer.drain()
+                # The replayed "running" frame shows the stream is open.
+                backlog = await asyncio.wait_for(
+                    reader.readuntil(b'"state":"running"}\n\n'), 30.0
+                )
+                _, view = await request(port, "GET", f"/v1/jobs/{job_id}")
+                assert view["state"] == "running"
+                release.set()
+                live = await asyncio.wait_for(reader.read(), 60.0)
+                writer.close()
+                await writer.wait_closed()
+
+                head, _, body = (backlog + live).partition(b"\r\n\r\n")
+                assert b"text/event-stream" in head
+                frames = parse_sse(body.decode("utf-8"))
+                assert [(f[0], f[1].get("state")) for f in frames] == [
+                    ("state", "queued"),
+                    ("state", "running"),
+                    ("state", "done"),
+                    ("end", "done"),
+                ]
+                assert [f[2] for f in frames] == [1, 2, 3, 4]
+                assert [f[0] for f in parse_sse(live.decode("utf-8"))] == [
+                    "state", "end",
+                ]
+                # A read after the end replays the same frames.
+                assert await stream_events(port, job_id) == frames
 
     asyncio.run(scenario())
 

@@ -70,7 +70,7 @@ def test_run_job_lifecycle_and_result():
         assert result.config.n_hosts == 8
         assert result.sent > 0
         # the stream recorded the whole lifecycle and closed
-        kinds = [f[0] for f in table.broker.history(view.job_id)]
+        kinds = [f[0] for f in table.get(view.job_id).stream.history()]
         assert kinds[0] == "state" and kinds[-1] == "end"
     finally:
         table.shutdown()
@@ -318,7 +318,7 @@ def test_sweep_job_runs_grid_and_reports_progress():
         run = table.result_of(view.job_id)
         assert run.executed == 2
         assert len(run.outcomes) == 2
-        kinds = [f[0] for f in table.broker.history(view.job_id)]
+        kinds = [f[0] for f in table.get(view.job_id).stream.history()]
         assert kinds.count("progress") == 2
         stats = table.stats()
         assert stats["done"] == 1 and stats["total"] == 1
@@ -337,11 +337,32 @@ def test_traced_run_streams_trace_frames():
         ))
         done = wait_terminal(table, view.job_id)
         assert done.state == "done"
-        frames = table.broker.history(view.job_id)
+        frames = table.get(view.job_id).stream.history()
         traces = [f for f in frames if f[0] == "trace"]
         assert traces, "traced run produced no trace frames"
         assert all(
             f[1]["name"].partition(".")[0] == "gateway" for f in traces
         )
+    finally:
+        table.shutdown()
+
+
+def test_identical_traced_runs_stream_identical_trace_frames():
+    # Packet uids are numbered per network: a second identical run in
+    # the same process used to trace uids where the first left off.
+    table = JobTable(cache=None, concurrency=1)
+    try:
+        streams = []
+        for _ in range(2):
+            view = table.submit(SubmitRequest(
+                kind="run", payload=TINY, trace=True, trace_filter=("packet",),
+            ))
+            assert wait_terminal(table, view.job_id).state == "done"
+            streams.append([
+                f[1] for f in table.get(view.job_id).stream.history()
+                if f[0] == "trace"
+            ])
+        assert any("uid" in f["fields"] for f in streams[0])
+        assert streams[0] == streams[1]
     finally:
         table.shutdown()

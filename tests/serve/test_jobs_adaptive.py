@@ -61,7 +61,7 @@ def test_adaptive_sweep_job_streams_rounds_and_serves_precision():
         # Every look published one progress frame with the allocation.
         frames = [
             payload
-            for kind, payload, _seq in table.broker.history(view.job_id)
+            for kind, payload, _seq in table.get(view.job_id).stream.history()
             if kind == "progress" and "adaptive" in payload
         ]
         assert [f["adaptive"]["look"] for f in frames] == [1, 2]
@@ -99,7 +99,7 @@ def test_adaptive_figure_job_owns_the_engine():
         assert fig.seeds == [1, 2]
         frames = [
             payload
-            for kind, payload, _seq in table.broker.history(view.job_id)
+            for kind, payload, _seq in table.get(view.job_id).stream.history()
             if kind == "progress" and "adaptive" in payload
         ]
         assert len(frames) >= 1

@@ -75,11 +75,11 @@ def test_cancel_landing_before_finalize_wins(table, monkeypatch):
     assert job.state == "cancelled"
     assert job.result is None  # the computed result was discarded
     # exactly one terminal transition reached the stream
-    kinds = [f[0] for f in table.broker.history(job.job_id)]
+    kinds = [f[0] for f in job.stream.history()]
     assert kinds.count("end") == 1
     states = [
         f[1]["state"]
-        for f in table.broker.history(job.job_id)
+        for f in job.stream.history()
         if f[0] == "state"
     ]
     assert states[-1] == "cancelled"
@@ -108,7 +108,7 @@ def test_cancelled_queued_job_is_never_picked_up(table):
     assert job.state == "cancelled"
     states = [
         f[1]["state"]
-        for f in table.broker.history(job.job_id)
+        for f in job.stream.history()
         if f[0] == "state"
     ]
     assert "running" not in states
@@ -117,7 +117,7 @@ def test_cancelled_queued_job_is_never_picked_up(table):
 def test_finalize_is_first_writer_wins(table):
     job = submit_queued(table)
     table._finalize(job, "cancelled")
-    frames_after_first = len(table.broker.history(job.job_id))
+    frames_after_first = len(job.stream.history())
     finished = job.finished_s
 
     # a late worker finalize must not overwrite the terminal state,
@@ -126,7 +126,7 @@ def test_finalize_is_first_writer_wins(table):
     assert job.state == "cancelled"
     assert job.result is None
     assert job.finished_s == finished
-    assert len(table.broker.history(job.job_id)) == frames_after_first
+    assert len(job.stream.history()) == frames_after_first
 
     # nor may a late failure overwrite the error field
     table._finalize(job, "failed", error="boom")
