@@ -85,6 +85,7 @@ _LAZY = {
     "FIGURES": ("repro.experiments.figures", "FIGURES"),
     "FigureData": ("repro.experiments.figures", "FigureData"),
     "figure": ("repro.experiments.figures", "figure"),
+    "figure_plan": ("repro.experiments.figures", "figure_plan"),
     "format_series_table": ("repro.experiments.report", "format_series_table"),
     "format_summary_table": ("repro.experiments.report", "format_summary_table"),
     "sparkline": ("repro.experiments.report", "sparkline"),
@@ -134,6 +135,7 @@ __all__ = [
     # figures
     "FIGURES",
     "FigureData",
+    "figure_plan",
     # election policies and partition scoring
     "ELECTION_POLICIES",
     "ElectionPolicy",

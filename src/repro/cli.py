@@ -123,9 +123,7 @@ def _figure(name: str, args) -> FigureData:
         f"simulated, {cached} cached (workers={args.workers})"
     )
     if fig.precision is not None:
-        from repro.api import PrecisionReport
-
-        print(PrecisionReport.from_dict(fig.precision).summary())
+        print(fig.precision.summary())
     return fig
 
 

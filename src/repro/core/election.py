@@ -203,7 +203,7 @@ def get_policy(name: str) -> ElectionPolicy:
 def elect(
     candidates: Iterable[Candidate],
     energy_aware: bool = True,
-    policy: Optional[ElectionPolicy] = None,
+    policy: ElectionPolicy = ELECTION_POLICIES[DEFAULT_POLICY_NAME],
 ) -> Optional[Candidate]:
     """The winner under ``policy`` (default: the paper's rules), or
     None with no candidates.
@@ -215,11 +215,7 @@ def elect(
     best: Optional[Candidate] = None
     best_key = None
     for cand in candidates:
-        k = (
-            cand.key(energy_aware)
-            if policy is None
-            else policy.key(cand, energy_aware)
-        )
+        k = policy.key(cand, energy_aware)
         if best_key is None or k > best_key:
             best = cand
             best_key = k
@@ -230,9 +226,8 @@ def beats(
     a: Candidate,
     b: Candidate,
     energy_aware: bool = True,
-    policy: Optional[ElectionPolicy] = None,
+    policy: ElectionPolicy = ELECTION_POLICIES[DEFAULT_POLICY_NAME],
 ) -> bool:
-    """True if candidate ``a`` outranks ``b`` under the election rules."""
-    if policy is None:
-        return a.key(energy_aware) > b.key(energy_aware)
+    """True if candidate ``a`` outranks ``b`` under ``policy`` (default:
+    the paper's rules)."""
     return policy.key(a, energy_aware) > policy.key(b, energy_aware)

@@ -57,7 +57,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -78,7 +77,6 @@ from repro.experiments.sweep import (
     SweepSpec,
     resolve_config,
 )
-from repro.records import decode
 
 __all__ = [
     "GATE_SCALARS",
@@ -225,11 +223,13 @@ class PrecisionReport:
     verdict, and the final per-scalar mean / sd / half-width /
     relative half-width; ``deltas`` the CRN-paired protocol
     differences (mean, paired-t half-width, and the variance-reduction
-    factor over an unpaired comparison).  :meth:`to_dict` is the form
-    exported with figures and served over HTTP; it deliberately omits
-    ``executed``/``cached`` — those count cache traffic, and the export
-    must stay a pure function of the config grid so that a warm-cache
-    re-run is byte-identical to the cold one.
+    factor over an unpaired comparison).  The report stays this object
+    on ``SweepRun.precision`` and ``FigureData.precision``;
+    :meth:`to_dict` is the form exported with figures and served over
+    HTTP.  It deliberately omits ``executed``/``cached`` — those count
+    cache traffic, and the export must stay a pure function of the
+    config grid so that a warm-cache re-run is byte-identical to the
+    cold one.
     """
 
     policy: ReplicationPolicy
@@ -237,10 +237,9 @@ class PrecisionReport:
     deltas: List[Dict[str, Any]]
     looks: int
     total_runs: int
-    #: Cache accounting of this particular execution (not exported;
-    #: None when the report was rebuilt from its dict form).
-    executed: Optional[int] = None
-    cached: Optional[int] = None
+    #: Cache accounting of this particular execution (not exported).
+    executed: int
+    cached: int
 
     @property
     def all_met(self) -> bool:
@@ -260,16 +259,6 @@ class PrecisionReport:
             "arms": [dict(a) for a in self.arms],
             "deltas": [dict(d) for d in self.deltas],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PrecisionReport":
-        return cls(
-            policy=decode(ReplicationPolicy, data["policy"]),
-            arms=list(data["arms"]),
-            deltas=list(data.get("deltas", [])),
-            looks=int(data["looks"]),
-            total_runs=int(data["total_runs"]),
-        )
 
     @classmethod
     def merge(
@@ -292,16 +281,15 @@ class PrecisionReport:
             ],
             looks=max(report.looks for _, report in parts),
             total_runs=sum(report.total_runs for _, report in parts),
+            executed=sum(report.executed for _, report in parts),
+            cached=sum(report.cached for _, report in parts),
         )
 
     def summary(self) -> str:
         p = self.policy
-        traffic = (
-            f" ({self.executed} simulated, {self.cached} cached)"
-            if self.executed is not None else ""
-        )
         lines = [
-            f"adaptive: {self.total_runs} run(s){traffic} over "
+            f"adaptive: {self.total_runs} run(s) ({self.executed} simulated, "
+            f"{self.cached} cached) over "
             f"{self.looks}/{p.looks()} look(s); target ±{p.target_ci:.3g} "
             f"rel @ {p.confidence:.0%} on {', '.join(p.gate_scalars)}"
         ]
@@ -346,8 +334,8 @@ class AdaptiveRunner:
     point; this class only decides *which* points exist.  Specs
     without a ``seed`` axis pass through unchanged.  After each
     :meth:`run`, :attr:`last_report` holds the
-    :class:`PrecisionReport` (also appended to :attr:`reports`, and
-    attached to the returned run as ``SweepRun.precision``).
+    :class:`PrecisionReport` (also attached to the returned run as
+    ``SweepRun.precision``).
     """
 
     def __init__(
@@ -359,25 +347,12 @@ class AdaptiveRunner:
         self.policy = policy
         self.runner = runner if runner is not None else SweepRunner()
         self.on_round = on_round
-        self.reports: List[PrecisionReport] = []
         self.last_report: Optional[PrecisionReport] = None
 
-    # -- SweepRunner surface the callers rely on ------------------------
-    @property
-    def cache(self):
-        return self.runner.cache
-
-    @property
-    def workers(self) -> int:
-        return self.runner.workers
-
-    # -- execution ------------------------------------------------------
     def run(self, spec: SweepSpec) -> SweepRun:
         if "seed" not in spec.axes:
             return self.runner.run(spec)
-        run, report = self._run_adaptive(spec)
-        self.last_report = report
-        self.reports.append(report)
+        run, self.last_report = self._run_adaptive(spec)
         return run
 
     def _seed_pool(self, spec: SweepSpec) -> List[int]:
@@ -459,10 +434,7 @@ class AdaptiveRunner:
                     outcome.point, index=len(outcomes)
                 )
                 outcomes.append(outcome)
-        run = SweepRun(
-            spec=spec, outcomes=outcomes, precision=report.to_dict()
-        )
-        return run, report
+        return SweepRun(spec=spec, outcomes=outcomes, precision=report), report
 
     def _evaluate(self, arm: _ArmState, quantile: float) -> None:
         """One gate look: spending-corrected t half-widths on the

@@ -172,7 +172,7 @@ def figure_to_dict(fig: "FigureData") -> Dict[str, Any]:
     }
     if fig.precision is not None:
         record["ci"] = {k: list(v) for k, v in fig.ci.items()}
-        record["precision"] = dict(fig.precision)
+        record["precision"] = fig.precision.to_dict()
     return record
 
 

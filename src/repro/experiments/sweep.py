@@ -30,11 +30,14 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.adaptive import PrecisionReport
 
 #: Friendly axis spellings for the most-swept config fields.
 AXIS_ALIASES = {
@@ -162,10 +165,9 @@ class SweepRun:
 
     spec: SweepSpec
     outcomes: List[SweepOutcome]
-    #: Precision report of an adaptive execution (the dict form of
-    #: :class:`repro.experiments.adaptive.PrecisionReport`); ``None``
-    #: for fixed grids.
-    precision: Optional[Dict[str, Any]] = None
+    #: Precision report of an adaptive execution; ``None`` for fixed
+    #: grids.
+    precision: Optional["PrecisionReport"] = None
 
     @property
     def results(self) -> List[ExperimentResult]:

@@ -31,7 +31,6 @@ CATEGORY_RULES: Tuple[Tuple[str, str], ...] = (
     ("Medium._finish", "medium-completion"),
     ("Node._on_crossing", "mobility-crossing"),
     ("EnergySampler.", "metric-sampling"),
-    ("InvariantMonitor", "metric-sampling"),
     ("._tick", "metric-sampling"),
     ("BatteryMonitor.", "battery"),
     ("CbrFlow.", "traffic"),

@@ -125,10 +125,9 @@ class JobServer:
         self.table.shutdown(wait=False)
 
     async def serve_forever(self) -> None:
-        await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        """Answer connections until cancelled (after :meth:`start`)."""
+        assert self._server is not None, "server not started"
+        await self._server.serve_forever()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -387,9 +386,7 @@ async def _serve_async(config: ServerConfig) -> None:
         f"quota {config.max_active_per_tenant}/tenant, {cache_note})"
     )
     try:
-        assert server._server is not None
-        async with server._server:
-            await server._server.serve_forever()
+        await server.serve_forever()
     except asyncio.CancelledError:  # loop shutdown
         pass
     finally:

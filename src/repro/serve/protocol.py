@@ -40,7 +40,6 @@ from repro.api import (
     RESULT_SCHEMA,
     ExperimentConfig,
     FaultPlan,
-    SweepRun,
     SweepSpec,
     result_to_dict,
 )
@@ -228,16 +227,11 @@ def config_from_payload(payload: Mapping[str, Any]) -> Any:
     return config
 
 
-class _GridCheck:
-    """A runner that simulates nothing: ``run(spec)`` validates every
-    point's config and returns an empty :class:`SweepRun`.  Unknown
-    axis names and bad values then fail at submit, not in a worker."""
-
-    @staticmethod
-    def run(spec: Any) -> Any:
-        for point in spec.expand():
-            point.config.validate()
-        return SweepRun(spec, [])
+def _validate_grid(spec: Any) -> None:
+    """Validate every expanded config of ``spec``, so unknown axis
+    names and bad values fail at submit, not in a worker."""
+    for point in spec.expand():
+        point.config.validate()
 
 
 def spec_from_payload(payload: Mapping[str, Any]) -> Any:
@@ -250,7 +244,7 @@ def spec_from_payload(payload: Mapping[str, Any]) -> Any:
                 FaultPlan.from_dict(v) if isinstance(v, Mapping) else v
                 for v in plans
             ]
-        _GridCheck.run(spec)
+        _validate_grid(spec)
     except (TypeError, ValueError, KeyError) as exc:
         raise ProtocolError(f"bad sweep spec: {exc}") from exc
     return spec
@@ -267,9 +261,9 @@ def figure_policy_fields(payload: Mapping[str, Any]) -> Dict[str, Any]:
 
 def figure_kwargs_from_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Validated keyword arguments for :func:`repro.api.figure`, less
-    the adaptive policy fields: the figure runs on a :class:`_GridCheck`,
-    which validates its grid and simulates nothing."""
-    from repro.api import figure
+    the adaptive policy fields: the figure's plan is built and every
+    sweep it declares is validated, as a sweep payload's is."""
+    from repro.api import figure_plan
 
     policy = figure_policy_fields(payload)
     try:
@@ -281,7 +275,12 @@ def figure_kwargs_from_payload(payload: Mapping[str, Any]) -> Dict[str, Any]:
             for f in fields(request)
             if f.name != "axes"
         }
-        figure(**kwargs, **request.axes, runner=_GridCheck())
+        seeds = range(request.seed, request.seed + request.seeds)
+        plan = figure_plan(
+            request.name, request.speed, request.scale, seeds, **request.axes
+        )
+        for spec in plan.sweeps:
+            _validate_grid(spec)
     except (TypeError, ValueError, KeyError) as exc:
         raise ProtocolError(f"bad figure: {exc}") from exc
     return {**kwargs, **request.axes}
@@ -304,8 +303,8 @@ def sweep_envelope(run: Any) -> Dict[str, Any]:
     ``result`` record per outcome, tagged with its axis coordinates.
 
     Sweeps executed under adaptive replication additionally carry a
-    ``"precision"`` key (the
-    :class:`~repro.experiments.adaptive.PrecisionReport` dict) —
+    ``"precision"`` key (:meth:`PrecisionReport.to_dict
+    <repro.experiments.adaptive.PrecisionReport.to_dict>`) —
     additive and conditional, so fixed-grid envelopes are unchanged.
     """
     envelope = {
@@ -325,6 +324,6 @@ def sweep_envelope(run: Any) -> Dict[str, Any]:
             for o in run.outcomes
         ],
     }
-    if getattr(run, "precision", None) is not None:
-        envelope["precision"] = dict(run.precision)
+    if run.precision is not None:
+        envelope["precision"] = run.precision.to_dict()
     return envelope

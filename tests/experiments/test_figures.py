@@ -8,7 +8,7 @@ same grid (Figs. 4/5, Figs. 6/7) simulate it once.
 
 import pytest
 
-from repro.api import ResultCache, SweepRunner, figure
+from repro.api import FIGURES, ResultCache, SweepRunner, figure
 
 SCALE = 0.1  # ~10 hosts, ~320 m, 200 s horizon
 
@@ -17,6 +17,29 @@ SCALE = 0.1  # ~10 hosts, ~320 m, 200 s horizon
 def runner(tmp_path_factory):
     cache = ResultCache(str(tmp_path_factory.mktemp("figure-cache")))
     return SweepRunner(cache=cache)
+
+
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_plan_declares_valid_sweeps_and_simulates_nothing(name, monkeypatch):
+    """What the job server checks at submit: a figure's plan at its
+    default axes expands to configs that all validate, names its sweeps
+    apart, and building it runs no simulation."""
+    from repro.des.core import Simulator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"building the {name} plan ran a simulation")
+
+    monkeypatch.setattr(Simulator, "run", refuse)
+    monkeypatch.setattr(SweepRunner, "run_points", refuse)
+    plan = FIGURES[name](1.0, 0.06, [3, 4])
+    names = [spec.name for spec in plan.sweeps]
+    assert names and len(set(names)) == len(names)
+    for spec in plan.sweeps:
+        points = spec.expand()
+        assert points
+        for point in points:
+            point.config.validate()
+            assert point.config.seed in (3, 4)
 
 
 def test_fig4_series(runner):

@@ -54,10 +54,10 @@ def test_adaptive_sweep_job_streams_rounds_and_serves_precision():
         assert done.state == "done", done.error
         run = table.result_of(view.job_id)
         assert run.precision is not None
-        assert run.precision["total_runs"] == 6  # 2 arms x cap of 3
-        assert not run.precision["all_met"]
+        assert run.precision.total_runs == 6  # 2 arms x cap of 3
+        assert not run.precision.all_met
         envelope = sweep_envelope(run)
-        assert envelope["precision"] == run.precision
+        assert envelope["precision"] == run.precision.to_dict()
         # Every look published one progress frame with the allocation.
         frames = [
             payload
@@ -95,7 +95,7 @@ def test_adaptive_figure_job_owns_the_engine():
         assert done.state == "done", done.error
         fig = table.result_of(view.job_id)
         assert fig.precision is not None
-        assert fig.precision["all_met"]
+        assert fig.precision.all_met
         assert fig.seeds == [1, 2]
         frames = [
             payload
@@ -176,7 +176,7 @@ def test_adaptive_gateway_tenure_submit_is_accepted():
         done = wait_terminal(table, view.job_id)
         assert done.state == "done", done.error
         fig = table.result_of(view.job_id)
-        assert fig.precision is not None and fig.precision["all_met"]
+        assert fig.precision is not None and fig.precision.all_met
         assert fig.seeds == [3, 4]
         assert "ecgrid:tenure_s" in fig.series
     finally:
