@@ -105,8 +105,9 @@ class GridProtocolBase(RoutingProtocol):
         get_policy(params.election_policy)  # fail fast on an unknown name
         # Cumulative gateway-tenure bookkeeping (always on: pure local
         # arithmetic, no events or RNG, so the default path stays
-        # bit-for-bit).  The load policy advertises it.
-        self._tenure_started: Optional[float] = None
+        # bit-for-bit).  The load policy advertises it.  The open
+        # tenure is (start time, the cell it holds), or None.
+        self._tenure: Optional[Tuple[float, GridCoord]] = None
         self._tenure_total = 0.0
 
         self.role = Role.ACTIVE
@@ -184,8 +185,8 @@ class GridProtocolBase(RoutingProtocol):
     def gateway_tenure_s(self) -> float:
         """Total time this host has served as gateway so far."""
         total = self._tenure_total
-        if self._tenure_started is not None:
-            total += self.now - self._tenure_started
+        if self._tenure is not None:
+            total += self.now - self._tenure[0]
         return total
 
     def _peer_fresh_cutoff(self) -> float:
@@ -328,8 +329,8 @@ class GridProtocolBase(RoutingProtocol):
     ) -> None:
         if self.role is Role.DEAD:
             return
-        if self._tenure_started is None:
-            self._tenure_started = self.now
+        if self._tenure is None:
+            self._tenure = (self.now, self.my_cell)
         self.role = Role.GATEWAY
         self.my_gateway = self.node.id
         self.watch_timer.cancel()
@@ -372,13 +373,17 @@ class GridProtocolBase(RoutingProtocol):
 
     def _end_tenure(self, **fields) -> None:
         """Close the gateway tenure before the role flips, so trace
-        consumers (auditors, tenure timelines) see the handover."""
-        if self._tenure_started is not None:
-            self._tenure_total += self.now - self._tenure_started
-            self._tenure_started = None
+        consumers (auditors, tenure timelines) see the handover.  The
+        demote names the cell the tenure held: a gateway that moved
+        has already taken its new cell as ``my_cell``."""
+        cell = self.my_cell
+        if self._tenure is not None:
+            start, cell = self._tenure
+            self._tenure_total += self.now - start
+            self._tenure = None
         tr = self.node.tracer
         if tr.gateway:
-            tr.emit("gateway.demote", node=self.node.id, cell=self.my_cell, **fields)
+            tr.emit("gateway.demote", node=self.node.id, cell=cell, **fields)
 
     # ------------------------------------------------------------------
     # Message dispatch

@@ -11,7 +11,8 @@ Shipped auditors (:func:`standard_auditors`):
 
 - :class:`GatewayUniquenessAuditor` — at most one gateway per grid
   cell, modulo a short grace period for the protocol-legal handoff
-  window (conflict resolution takes up to a HELLO exchange);
+  window (conflict resolution takes up to a HELLO exchange), and a
+  demote names the cell its gateway was elected in;
 - :class:`BufferFlushAuditor` — a non-empty gateway paging buffer
   always has a flush in flight (the PR-3 stuck-buffer bug class);
 - :class:`SleepingTransmitAuditor` — a sleeping radio never transmits;
@@ -82,7 +83,9 @@ class GatewayUniquenessAuditor(Auditor):
     Elections and handoffs legally overlap for a short window (the loser
     of a conflict discovers the winner via HELLO, up to a HELLO period
     later), so duplicate occupancy is only a violation once it outlives
-    ``grace_s``.
+    ``grace_s``.  A ``gateway.demote`` whose ``cell`` is not the cell
+    the node was elected in is flagged at once (``demote_cell``); a
+    demote without a ``cell`` field is not checked.
     """
 
     categories = ("gateway",)
@@ -115,8 +118,16 @@ class GatewayUniquenessAuditor(Auditor):
             if node is None:
                 return
             cell = self._node_cell.pop(node, None)
-            if cell is not None:
-                self._leave(cell, node, event.t)
+            if cell is None:
+                return
+            named = event.fields.get("cell")
+            if named is not None and named != cell:
+                self.flag(
+                    event.t, "demote_cell", node,
+                    f"demote names cell {named}, but the node was "
+                    f"elected in cell {cell}",
+                )
+            self._leave(cell, node, event.t)
 
     def _leave(self, cell: Tuple[int, int], node: int, t: float) -> None:
         occupants = self._cells.get(cell)

@@ -92,6 +92,28 @@ def test_reelection_to_a_new_cell_vacates_the_old_one():
     assert auditor.clean
 
 
+def test_a_demote_must_name_the_elected_cell():
+    auditor = GatewayUniquenessAuditor(grace_s=3.0)
+    tr = traced(auditor)
+    tr.emit("gateway.elect", node=1, t=0.0, cell=(0, 0))
+    tr.emit("gateway.demote", node=1, t=5.0, cell=(0, 0))
+    tr.emit("gateway.elect", node=2, t=6.0, cell=(1, 0))
+    tr.emit("gateway.demote", node=2, t=9.0)  # no cell: not checked
+    assert auditor.clean
+    # A gateway that moved into (2, 1) and names that cell when it
+    # steps down, though its tenure held (1, 1).
+    tr.emit("gateway.elect", node=3, t=10.0, cell=(1, 1))
+    tr.emit("gateway.demote", node=3, t=12.5, cell=(2, 1))
+    assert [v.kind for v in auditor.violations] == ["demote_cell"]
+    v = auditor.violations[0]
+    assert (v.t, v.node) == (12.5, 3)
+    assert "(2, 1)" in v.detail and "(1, 1)" in v.detail
+    # The tenure still ends: node 3 no longer occupies (1, 1).
+    tr.emit("gateway.elect", node=4, t=13.0, cell=(1, 1))
+    auditor.finish(t_end=100.0)
+    assert len(auditor.violations) == 1
+
+
 def test_sleeping_transmit_auditor():
     auditor = SleepingTransmitAuditor()
     tr = traced(auditor)

@@ -87,3 +87,29 @@ def test_real_trace_round_trips_through_jsonl(tmp_path, traced_run):
     assert written == len(events) == sum(tracer.counts().values())
     assert header["counts"] == tracer.counts()
     assert events == tracer.events()
+
+
+@pytest.mark.parametrize("protocol", ["grid", "gaf"])
+def test_every_demote_names_the_cell_its_election_named(protocol):
+    """A moving gateway takes its new cell before it steps down (GRID
+    after the RETIRE wait, GAF at once); its ``gateway.demote`` must
+    still name the cell its tenure held, which is the cell of its last
+    ``gateway.elect``.  Golden scenario shape, seed 1."""
+    config = ExperimentConfig(
+        protocol=protocol, n_hosts=24, width_m=500.0, height_m=500.0,
+        sim_time_s=80.0, n_flows=4, max_speed_mps=2.0,
+        initial_energy_j=40.0, seed=1,
+    )
+    tracer = Tracer(categories=("gateway",))
+    run_experiment(config, tracer=tracer)
+    elected = {}
+    demotes = mismatched = 0
+    for event in tracer.events("gateway"):
+        if event.name == "gateway.elect":
+            elected[event.node] = event.fields["cell"]
+        elif event.name == "gateway.demote":
+            demotes += 1
+            if event.fields["cell"] != elected[event.node]:
+                mismatched += 1
+    assert demotes > 20
+    assert mismatched == 0, f"{mismatched} of {demotes} demotes"
