@@ -13,7 +13,7 @@ overhearing, beacons).
 """
 
 from repro.des.core import Simulator, SimulationError
-from repro.des.event import Event, EventHandle
+from repro.des.event import Event
 from repro.des.timer import PeriodicTimer, Timer
 from repro.des.rng import RngStreams
 
@@ -21,7 +21,6 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "Event",
-    "EventHandle",
     "Timer",
     "PeriodicTimer",
     "RngStreams",

@@ -7,7 +7,7 @@ import math
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.des.event import Event, EventHandle
+from repro.des.event import Event
 from repro.des.rng import RngStreams
 
 #: A calendar entry.  The heap holds ``(time, priority, seq, event)``
@@ -71,8 +71,9 @@ class Simulator:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> EventHandle:
-        """Schedule ``fn(*args)`` at absolute simulation ``time``."""
+    ) -> Event:
+        """Schedule ``fn(*args)`` at absolute simulation ``time``; the
+        returned :class:`Event` is the handle that cancels it."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule into the past: t={time} < now={self.now}"
@@ -86,7 +87,7 @@ class Simulator:
             self.heap_high_water = n
         if n >= self._next_compact_check:
             self._maybe_compact()
-        return EventHandle(event)
+        return event
 
     def after(
         self,
@@ -94,7 +95,7 @@ class Simulator:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``fn(*args)`` after a relative ``delay >= 0``.
 
         Body is :meth:`at` flattened (minus the past-check: ``now + a
@@ -114,11 +115,11 @@ class Simulator:
             self.heap_high_water = n
         if n >= self._next_compact_check:
             self._maybe_compact()
-        return EventHandle(event)
+        return event
 
     def call_soon(
         self, fn: Callable[..., Any], *args: Any, priority: int = 0
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``fn(*args)`` at the current instant (after the
         currently executing event returns).  ``priority`` orders it
         against other events booked for the same instant."""

@@ -1,12 +1,12 @@
-"""Event records and cancellable handles for the DES calendar."""
+"""Event records for the DES calendar; each event is its own handle."""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, and the handle its scheduler returns.
 
     Events are ordered by ``(time, priority, seq)``: earlier time first,
     then lower priority value, then insertion order.  The ``seq`` tiebreak
@@ -18,6 +18,11 @@ class Event:
     heap sifts compare at C speed; ``__lt__`` implements the same total
     order for direct comparisons (tests, debugging) and is kept in
     lockstep with the tuple key.
+
+    ``cancel()`` is O(1): the event is flagged and skipped when popped
+    (lazy deletion).  It may be called more than once and after the
+    event fired; both are harmless no-ops, which keeps protocol code
+    free of defensive bookkeeping.
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled")
@@ -37,6 +42,16 @@ class Event:
         self.args = args
         self.cancelled = False
 
+    @property
+    def active(self) -> bool:
+        """False once cancelled.  Firing does not clear it: an owner
+        that keeps an event drops it when the event fires."""
+        return not self.cancelled
+
+    def cancel(self) -> None:
+        """Prevent the event from firing.  Idempotent."""
+        self.cancelled = True
+
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:
             return self.time < other.time
@@ -48,38 +63,3 @@ class Event:
         state = " cancelled" if self.cancelled else ""
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<Event t={self.time:.6f} p={self.priority} #{self.seq} {name}{state}>"
-
-
-class EventHandle:
-    """Public, re-usable handle to a scheduled event.
-
-    ``cancel()`` is O(1): the event is flagged and skipped when popped
-    (lazy deletion).  A handle may be cancelled more than once and may be
-    cancelled after the event fired; both are harmless no-ops, which
-    keeps protocol code free of defensive bookkeeping.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Absolute simulation time the event is (or was) due."""
-        return self._event.time
-
-    @property
-    def active(self) -> bool:
-        """True while the event is still pending (not cancelled, not fired)."""
-        return not self._event.cancelled
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        self._event.cancelled = True
-
-
-def cancel_if_active(handle: Optional[EventHandle]) -> None:
-    """Cancel ``handle`` if it is a live handle; accept ``None`` silently."""
-    if handle is not None:
-        handle.cancel()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.des.core import Simulator
-from repro.des.event import EventHandle
+from repro.des.event import Event
 
 
 class Timer:
@@ -23,7 +23,7 @@ class Timer:
     def __init__(self, sim: Simulator, fn: Callable[[], Any]) -> None:
         self.sim = sim
         self.fn = fn
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
 
     @property
     def armed(self) -> bool:
@@ -72,7 +72,7 @@ class PeriodicTimer:
         self.fn = fn
         self.period = period
         self.jitter = jitter
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
         self._running = False
 
     @property

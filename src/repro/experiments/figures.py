@@ -655,7 +655,8 @@ def figure(
     ``FigureData.precision`` and the seeds actually used in
     ``FigureData.seeds``.  Passing a pre-built
     :class:`~repro.experiments.adaptive.AdaptiveRunner` as ``runner``
-    (the serve path does) uses its policy directly.
+    (the serve path does) uses its policy directly, and the policy's
+    confidence, not the ``confidence`` argument, sets ``FigureData.ci``.
 
     This is the only code that runs a figure's sweeps: each sweep of
     the plan goes through the engine in order, and every run is
@@ -679,6 +680,8 @@ def figure(
         adaptive = True
     elif not adaptive and max_seeds is not None:
         raise ValueError("max_seeds requires target_ci (adaptive mode)")
+    if adaptive:
+        confidence = engine.policy.confidence
     # An adaptive engine's seed axis is the full allocatable pool; its
     # scheduler decides the prefix each arm actually runs.
     pool = engine.policy.max_seeds if adaptive else seeds

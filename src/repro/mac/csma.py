@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.des.core import Simulator
-from repro.des.event import EventHandle
+from repro.des.event import Event
 from repro.mac.frames import ACK_WIRE_BYTES, AckFrame, Frame, FrameKind
 from repro.energy.profile import RadioMode
 from repro.net.packet import BROADCAST, LINK_OVERHEAD_BYTES
@@ -93,8 +93,8 @@ class CsmaMac:
         self.receive_handler: Optional[ReceiveHandler] = None
         self._queue: Deque[_TxJob] = deque()
         self._current: Optional[_TxJob] = None
-        self._attempt_ev: Optional[EventHandle] = None
-        self._ack_ev: Optional[EventHandle] = None
+        self._attempt_ev: Optional[Event] = None
+        self._ack_ev: Optional[Event] = None
         self._seq = 0
         self._last_seq_from: Dict[int, int] = {}
         #: Called with each queued message discarded by :meth:`shutdown`

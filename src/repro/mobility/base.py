@@ -39,26 +39,22 @@ class MobilityModel:
     """Base class: a lazily generated, append-only list of segments.
 
     Subclasses implement :meth:`_generate_next` to append the segment
-    following the last one.  The base class memoizes segments and serves
-    point queries with a local search (queries are strongly monotone in
-    simulation time, so the common case is O(1)).
+    following the last one.  The base class keeps every segment and
+    serves point queries with a local search (queries are strongly
+    monotone in simulation time, so the common case is O(1)).
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._segments: List[Segment] = []
-        self._cursor = 0
         self._start_time = start_time
-        # Hot-path caches.  Both are pure memoization: a trajectory is
-        # an immutable function of time (segments are append-only), so
-        # caching can never change a query result — only skip the
-        # segment walk and the Vec2 allocation.  The wireless medium
-        # queries every neighbor's position at the same ``sim.now``
-        # several times per transmission, which makes ``position()``
-        # one of the hottest calls of a whole simulation.
-        self._active_seg: Optional[Segment] = None
+        #: Index of the segment the last query landed on, and that
+        #: segment flattened to ``(t0, t1, x0, y0, vx, vy)``: the one
+        #: record every position read unpacks (the wireless medium
+        #: inlines the read).  It starts as a leg no time falls in.
         self._active_idx: int = 0
-        self._memo_t: float = math.nan
-        self._memo_pos: Optional[Vec2] = None
+        self._leg: Tuple[float, float, float, float, float, float] = (
+            math.inf, -math.inf, 0.0, 0.0, 0.0, 0.0
+        )
 
     # -- subclass API ---------------------------------------------------
     def _generate_next(self) -> Segment:
@@ -70,36 +66,35 @@ class MobilityModel:
         """The segment covering time ``t`` (generated on demand).
 
         At an exact boundary ``t == seg.t1 == next.t0`` the *earlier*
-        segment is returned (the cached fast path is strict on ``t0``
-        to preserve exactly that convention).
+        segment is returned (the leg fast path is strict on ``t0`` to
+        preserve exactly that convention), unless the last query already
+        landed on the later one, which only a query back in time does.
         """
-        seg = self._active_seg
-        if seg is not None and seg.t0 < t <= seg.t1:
-            self._cursor = self._active_idx
-            return seg
+        leg = self._leg
+        if leg[0] < t <= leg[1]:
+            return self._segments[self._active_idx]
         if t < self._start_time:
             raise ValueError(f"t={t} precedes trajectory start {self._start_time}")
         segs = self._segments
         if not segs:
             segs.append(self._generate_next())
-        # Monotone cursor: rewind only if the caller went back in time.
-        i = self._cursor
+        # Monotone search: rewind only if the caller went back in time.
+        i = self._active_idx
         if i >= len(segs) or segs[i].t0 > t:
             i = 0
         while segs[i].t1 < t:
             i += 1
             if i == len(segs):
                 segs.append(self._generate_next())
-        self._cursor = i
         seg = segs[i]
-        self._active_seg = seg
         self._active_idx = i
+        self._leg = (seg.t0, seg.t1, seg.p0.x, seg.p0.y, seg.v.x, seg.v.y)
         return seg
 
     def iter_segments(self, t: float) -> Iterator[Segment]:
         """Yield the segment at ``t`` and every following segment."""
-        seg = self.segment_at(t)
-        idx = self._cursor
+        self.segment_at(t)
+        idx = self._active_idx
         while True:
             yield self._segments[idx]
             idx += 1
@@ -109,24 +104,13 @@ class MobilityModel:
                 self._segments.append(self._generate_next())
 
     def position(self, t: float) -> Vec2:
-        # Memoized per query time: neighbor loops in the PHY ask every
-        # radio for its position at the same ``sim.now`` repeatedly.
-        # The active-segment fast path of ``segment_at`` is inlined —
-        # this is the single most-called query of a simulation.
-        if t == self._memo_t:
-            return self._memo_pos  # type: ignore[return-value]
-        seg = self._active_seg
-        if seg is not None and seg.t0 < t <= seg.t1:
-            self._cursor = self._active_idx
-        else:
-            seg = self.segment_at(t)
-        dt = t - seg.t0
-        p0 = seg.p0
-        v = seg.v
-        pos = Vec2(p0.x + v.x * dt, p0.y + v.y * dt)
-        self._memo_t = t
-        self._memo_pos = pos
-        return pos
+        # Nearly every query lands on the leg the last one landed on.
+        t0, t1, x0, y0, vx, vy = self._leg
+        if not t0 < t <= t1:
+            self.segment_at(t)
+            t0, t1, x0, y0, vx, vy = self._leg
+        dt = t - t0
+        return Vec2(x0 + vx * dt, y0 + vy * dt)
 
     def velocity(self, t: float) -> Vec2:
         return self.segment_at(t).v

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.des.core import Simulator
-from repro.des.event import EventHandle
+from repro.des.event import Event
 from repro.energy.accounting import BatteryMonitor
 from repro.energy.battery import Battery
 from repro.energy.profile import EnergyLevel, PowerProfile, RadioMode
@@ -89,7 +89,7 @@ class Node:
         self.death_sink: Optional[DeathSink] = None
         self.drop_sink: Optional[DropSink] = None
 
-        self._crossing_ev: Optional[EventHandle] = None
+        self._crossing_ev: Optional[Event] = None
         medium.register(self.radio)
         ras.attach(node_id, self.radio, self._on_paged)
 

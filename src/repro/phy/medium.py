@@ -66,11 +66,9 @@ class _Reception:
 
 
 class _Transmission:
-    __slots__ = (
-        "sender", "pos", "px", "py", "end_time", "receptions", "index",
-    )
+    __slots__ = ("sender", "pos", "px", "py", "receptions")
 
-    def __init__(self, sender: Radio, pos: Vec2, end_time: float) -> None:
+    def __init__(self, sender: Radio, pos: Vec2) -> None:
         self.sender = sender
         self.pos = pos
         #: ``pos`` unpacked to plain floats: the carrier-sense scan
@@ -78,12 +76,7 @@ class _Transmission:
         #: tuple indexing there.
         self.px = pos[0]
         self.py = pos[1]
-        self.end_time = end_time
         self.receptions: List[_Reception] = []
-        #: Slot in ``Medium._active`` (maintained for O(1) swap-pop
-        #: removal; carrier sense only ever reduces the list to a
-        #: boolean, so the order perturbation is observable nowhere).
-        self.index = -1
 
 
 class _Bucket:
@@ -144,16 +137,6 @@ class Medium:
         self.grid = grid
         self.config = config or MediumConfig()
         self.stats = MediumStats()
-        #: How many bucket rings cover the radio range.  Computed on the
-        #: *float* values: integer truncation under-covered the fringe
-        #: for non-integer radii (e.g. radius 300.2 m on 100 m cells
-        #: needs 4 rings, not 3).
-        self._ring = self._rings_for(self.config.range_m)
-        #: Ring -> flat (dx, dy) offset list, in the same row-major
-        #: order ``GridMap.cells_within`` yields cells, precomputed once
-        #: instead of regenerated per query.
-        self._offsets: Dict[int, Tuple[GridCoord, ...]] = {}
-        self._ring_offsets = self._pruned_offsets(self._ring, self.config.range_m)
         self._buckets: Dict[GridCoord, _Bucket] = {
             (cx, cy): _Bucket()
             for cx in range(grid.cols)
@@ -164,9 +147,10 @@ class Medium:
         #: ``(center cell, radius) -> covering buckets`` in row-major
         #: order; see :meth:`_cover`.
         self._covers: Dict[Tuple[GridCoord, float], Tuple[_Bucket, ...]] = {}
+        #: Frames on the air, oldest first (carrier sense only reduces
+        #: the list to a boolean).
         self._active: List[_Transmission] = []
-        #: Pruned covering offsets memoized per query radius (the
-        #: default radius keeps its precomputed ``_ring_offsets``).
+        #: Query radius -> its covering offsets; see :meth:`_offsets_near`.
         self._radius_offsets: Dict[float, Tuple[GridCoord, ...]] = {}
         self._loss_rng = sim.rng.stream("phy-loss")
         #: Optional fault-injection hook ``(tx_pos, receiver) -> bool``;
@@ -177,49 +161,33 @@ class Medium:
             Callable[[Vec2, Radio], bool]
         ] = None
 
-    def _rings_for(self, radius: float) -> int:
-        """Bucket rings needed so every point within ``radius`` of a
-        point in the center cell lies in a covered cell."""
-        return max(1, math.ceil(radius / self.grid.cell_side))
+    def _offsets_near(self, radius: float) -> Tuple[GridCoord, ...]:
+        """The (dx, dy) offsets of the cells that can hold a point within
+        ``radius`` of a point in the center cell, row-major (the order
+        ``GridMap.cells_within`` yields), memoized per radius.
 
-    def _offsets_for(self, ring: int) -> Tuple[GridCoord, ...]:
-        """Memoized (dx, dy) offsets of the Chebyshev ball of ``ring``."""
-        cached = self._offsets.get(ring)
+        The Chebyshev ball of ``ceil(radius / side)`` rings, counted on
+        the *float* ratio (integer truncation under-covered the fringe:
+        radius 300.2 m on 100 m cells needs 4 rings, not 3), minus the
+        offsets whose cell can never hold such a point because the
+        minimum rectangle-to-rectangle gap already exceeds ``radius``
+        (e.g. the four ring-3 corner cells for a 250 m range on 100 m
+        cells).
+        """
+        cached = self._radius_offsets.get(radius)
         if cached is None:
+            side = self.grid.cell_side
+            ring = max(1, math.ceil(radius / side))
+            bound = radius * radius * (1.0 + 1e-6)
             cached = tuple(
                 (dx, dy)
                 for dx in range(-ring, ring + 1)
                 for dy in range(-ring, ring + 1)
+                if ((abs(dx) - 1) * side if dx else 0.0) ** 2
+                + ((abs(dy) - 1) * side if dy else 0.0) ** 2 <= bound
             )
-            self._offsets[ring] = cached
-        return cached
-
-    def _offsets_near(self, radius: float) -> Tuple[GridCoord, ...]:
-        """Memoized pruned covering offsets for an arbitrary ``radius``
-        (the construction is O(ring²) and used to be redone on every
-        non-default-radius query)."""
-        cached = self._radius_offsets.get(radius)
-        if cached is None:
-            cached = self._pruned_offsets(self._rings_for(radius), radius)
             self._radius_offsets[radius] = cached
         return cached
-
-    def _pruned_offsets(
-        self, ring: int, radius: float
-    ) -> Tuple[GridCoord, ...]:
-        """The Chebyshev ball of ``ring`` minus offsets whose cell can
-        never hold a point within ``radius`` of the center cell (the
-        minimum rectangle-to-rectangle gap already exceeds it — e.g. the
-        four ring-3 corner cells for a 250 m range on 100 m cells).
-        Order of the survivors is unchanged."""
-        side = self.grid.cell_side
-        bound = radius * radius * (1.0 + 1e-6)
-        return tuple(
-            (dx, dy)
-            for dx, dy in self._offsets_for(ring)
-            if ((abs(dx) - 1) * side if dx else 0.0) ** 2
-            + ((abs(dy) - 1) * side if dy else 0.0) ** 2 <= bound
-        )
 
     # ------------------------------------------------------------------
     # Membership
@@ -268,18 +236,11 @@ class Medium:
         key = (cell, radius)
         cover = self._covers.get(key)
         if cover is None:
-            if radius <= self.config.range_m:
-                offsets = self._ring_offsets
-            else:
-                offsets = self._offsets_near(radius)
             cx, cy = cell
             buckets = self._buckets
             # Off-map cells have no bucket; no clipping needed.
-            cover = tuple(
-                buckets[c]
-                for c in [(cx + dx, cy + dy) for dx, dy in offsets]
-                if c in buckets
-            )
+            cells = [(cx + dx, cy + dy) for dx, dy in self._offsets_near(radius)]
+            cover = tuple(buckets[c] for c in cells if c in buckets)
             self._covers[key] = cover
         return cover
 
@@ -299,27 +260,16 @@ class Medium:
         now = self.sim.now
         for bucket in self._cover(self.grid.cell_of(pos), radius):
             for radio in bucket.members:
-                # Inlined ``MobilityModel.position`` fast paths (memo
-                # hit, active-segment hit) with identical arithmetic;
-                # skipping the memo/cursor writes only changes how later
-                # queries recompute the same values, never the values.
+                # Inlined ``MobilityModel.position`` leg read, with its
+                # arithmetic; off the leg, the model moves it.
                 mob = radio.mobility
-                if now == mob._memo_t:
-                    p = mob._memo_pos
-                    x = p[0]
-                    y = p[1]
+                t0, t1, x, y, vx, vy = mob._leg
+                if t0 < now <= t1:
+                    dt = now - t0
+                    x += vx * dt
+                    y += vy * dt
                 else:
-                    seg = mob._active_seg
-                    if seg is not None and seg.t0 < now <= seg.t1:
-                        dt = now - seg.t0
-                        p0 = seg.p0
-                        v = seg.v
-                        x = p0.x + v.x * dt
-                        y = p0.y + v.y * dt
-                    else:
-                        p = mob.position(now)
-                        x = p[0]
-                        y = p[1]
+                    x, y = mob.position(now)
                 ddx = x - px
                 ddy = y - py
                 if ddx * ddx + ddy * ddy <= r2:
@@ -333,25 +283,16 @@ class Medium:
         if not active:
             return False
         now = self.sim.now
-        # Inlined ``MobilityModel.position`` fast paths (see
-        # ``radios_near``) — carrier sense runs on every CSMA attempt.
+        # Inlined ``MobilityModel.position`` leg read (see
+        # ``radios_near``): carrier sense runs on every CSMA attempt.
         mob = radio.mobility
-        if now == mob._memo_t:
-            p = mob._memo_pos
-            px = p[0]
-            py = p[1]
+        t0, t1, px, py, vx, vy = mob._leg
+        if t0 < now <= t1:
+            dt = now - t0
+            px += vx * dt
+            py += vy * dt
         else:
-            seg = mob._active_seg
-            if seg is not None and seg.t0 < now <= seg.t1:
-                dt = now - seg.t0
-                p0 = seg.p0
-                v = seg.v
-                px = p0.x + v.x * dt
-                py = p0.y + v.y * dt
-            else:
-                p = mob.position(now)
-                px = p[0]
-                py = p[1]
+            px, py = mob.position(now)
         sense2 = self.config.range_m * self.config.range_m
         for tx in active:
             if tx.sender is radio:
@@ -386,13 +327,12 @@ class Medium:
         duration = self.airtime(wire_bytes)
         pos = sender.position()
         sender.begin_tx()
-        now = self.sim.now
-        tx = _Transmission(sender, pos, now + duration)
+        tx = _Transmission(sender, pos)
         stats.frames_sent += 1
         stats.bytes_sent += wire_bytes
         # ``begin_tx`` above makes the half-duplex check skip the sender.
         self._receive(tx)
-        self._add_active(tx)
+        self._active.append(tx)
         self.sim.after(
             duration + config.propagation_delay_s,
             self._finish,
@@ -446,22 +386,10 @@ class Medium:
             radio._update()
             receptions_append(rec)
 
-    def _add_active(self, tx: _Transmission) -> None:
-        tx.index = len(self._active)
-        self._active.append(tx)
-
-    def _remove_active(self, tx: _Transmission) -> None:
-        """O(1) swap-pop removal from the in-flight list."""
-        active = self._active
-        last = active.pop()
-        if last is not tx:
-            active[tx.index] = last
-            last.index = tx.index
-
     def _finish(
         self, tx: _Transmission, payload: object, dst: Optional[int]
     ) -> None:
-        self._remove_active(tx)
+        self._active.remove(tx)
         tx.sender.end_tx()
         stats = self.stats
         sender_id = tx.sender.node_id

@@ -173,6 +173,9 @@ class JobTable:
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, str] = {}
+        #: Tenant -> its queued and running jobs: raised when a job is
+        #: enqueued, lowered once, when ``_finalize`` ends it.
+        self._active: Dict[str, int] = {}
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, concurrency), thread_name_prefix="ecgrid-job"
         )
@@ -198,12 +201,7 @@ class JobTable:
             in_flight = self._inflight.get(key)
             if in_flight is not None:
                 return self._jobs[in_flight].view(deduped=True)
-            active = sum(
-                1
-                for j in self._jobs.values()
-                if j.tenant == request.tenant
-                and j.state not in TERMINAL_STATES
-            )
+            active = self._active.get(request.tenant, 0)
             if active >= self.max_active_per_tenant:
                 raise QuotaExceeded(
                     f"tenant {request.tenant!r} already has {active} active "
@@ -237,6 +235,7 @@ class JobTable:
                     job.state = "done"
             if job.state == "queued":
                 self._inflight[key] = job.job_id
+                self._active[job.tenant] = active + 1
         job.stream.publish("state", {"job_id": job.job_id, "state": job.state})
         # The view is taken before the executor sees the job, so a submit
         # answers the state it left the job in, however the threads run.
@@ -459,6 +458,11 @@ class JobTable:
             job.finished_s = time.time()
             if self._inflight.get(job.key) == job.job_id:
                 del self._inflight[job.key]
+            left = self._active[job.tenant] - 1
+            if left:
+                self._active[job.tenant] = left
+            else:
+                del self._active[job.tenant]
         job.stream.publish("state", {"job_id": job.job_id, "state": state})
         job.stream.publish("end", asdict(job.view()))
         job.stream.close()

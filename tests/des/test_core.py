@@ -136,6 +136,22 @@ def test_cancelled_events_do_not_fire():
     assert fired == []
 
 
+def test_every_scheduler_returns_the_calendar_event():
+    sim = Simulator()
+    events = [
+        sim.at(2.0, print),
+        sim.after(1.0, print, "x", priority=3),
+        sim.call_soon(print),
+    ]
+    # One object per schedule: the handle is the entry's own event.
+    queued = [entry[3] for entry in sorted(sim._queue)]
+    assert len(queued) == 3
+    assert all(q is ev for q, ev in zip(queued, reversed(events)))
+    assert [(ev.time, ev.priority, ev.args) for ev in events] == [
+        (2.0, 0, ()), (1.0, 3, ("x",)), (0.0, 0, ()),
+    ]
+
+
 def test_cancel_is_idempotent_and_safe_after_fire():
     sim = Simulator()
     handle = sim.at(1.0, lambda: None)
@@ -248,7 +264,7 @@ def test_clear_cancels_pending_events_and_drops_callbacks():
     sim.clear()
     assert sim.pending == 0
     assert not first.active and not second.active
-    assert first._event.fn is None and second._event.args == ()
+    assert first.fn is None and second.args == ()
     assert (sim.now, sim.events_executed) == (2.0, 1)
     sim.run(until=10.0)
     assert fired == ["ran"]

@@ -1,6 +1,6 @@
-"""Event record ordering and handles."""
+"""Event record ordering and cancellation."""
 
-from repro.des.event import Event, EventHandle, cancel_if_active
+from repro.des.event import Event
 
 
 def make(time, priority=0, seq=0):
@@ -16,20 +16,10 @@ def test_ordering_time_then_priority_then_seq():
 
 def test_handle_reports_time_and_active():
     ev = make(3.0)
-    h = EventHandle(ev)
-    assert h.time == 3.0
-    assert h.active
-    h.cancel()
-    assert not h.active
+    assert ev.time == 3.0
+    assert ev.active
+    ev.cancel()
+    assert not ev.active
     assert ev.cancelled
-
-
-def test_cancel_if_active_accepts_none():
-    cancel_if_active(None)  # no exception
-
-
-def test_cancel_if_active_cancels():
-    ev = make(1.0)
-    h = EventHandle(ev)
-    cancel_if_active(h)
-    assert ev.cancelled
+    ev.cancel()  # idempotent
+    assert not ev.active

@@ -249,7 +249,8 @@ def test_fractional_range_reaches_fourth_ring():
     sim, medium, (a, b) = build(
         [(99.9, 50.0), (400.05, 50.0)], range_m=300.2
     )
-    assert medium._ring == 4
+    offsets = medium._offsets_near(300.2)
+    assert max(max(abs(dx), abs(dy)) for dx, dy in offsets) == 4
     inbox = attach_inbox(b)
     medium.transmit(a, "msg", 100)
     sim.run(until=1.0)
@@ -262,6 +263,6 @@ def test_unreachable_corner_cells_are_pruned():
     # point of the center cell and are dropped from the query set; the
     # axis cells at the same ring remain reachable (gap 200 m).
     _, medium, _ = build([(0.0, 0.0)])
-    offsets = set(medium._ring_offsets)
+    offsets = set(medium._offsets_near(medium.config.range_m))
     assert (3, 3) not in offsets and (-3, -3) not in offsets
     assert (3, 0) in offsets and (0, -3) in offsets

@@ -249,6 +249,68 @@ def test_quota_frees_up_after_finish(gated):
         table.shutdown()
 
 
+def test_failed_and_queued_cancelled_jobs_free_their_slot(monkeypatch):
+    release = threading.Event()
+
+    def fake_run(config, cache=None, tracer=None):
+        assert release.wait(60.0), "test never released the gate"
+        if config.seed == 1:
+            raise RuntimeError("reactor meltdown")
+        return {"sentinel": config.seed}
+
+    monkeypatch.setattr(jobs_mod, "api_run", fake_run)
+    table = JobTable(cache=None, concurrency=1, max_active_per_tenant=2)
+    try:
+        failing = submit_run(table, payload={**TINY, "seed": 1}, tenant="alice")
+        queued = submit_run(table, payload={**TINY, "seed": 2}, tenant="alice")
+        with pytest.raises(QuotaExceeded):
+            submit_run(table, payload={**TINY, "seed": 3}, tenant="alice")
+        # cancelled while queued: the single worker is held by ``failing``
+        assert table.cancel(queued.job_id).state == "cancelled"
+        third = submit_run(table, payload={**TINY, "seed": 3}, tenant="alice")
+        with pytest.raises(QuotaExceeded):
+            submit_run(table, payload={**TINY, "seed": 4}, tenant="alice")
+        release.set()
+        assert wait_terminal(table, failing.job_id).state == "failed"
+        wait_terminal(table, third.job_id)
+        # both slots free again, and each ended job freed exactly one
+        for seed in (4, 5):
+            submit_run(table, payload={**TINY, "seed": seed}, tenant="alice")
+        with pytest.raises(QuotaExceeded):
+            submit_run(table, payload={**TINY, "seed": 6}, tenant="alice")
+    finally:
+        release.set()
+        table.shutdown()
+
+
+def test_cache_hit_job_never_holds_a_slot(tmp_path, monkeypatch):
+    table = JobTable(
+        cache=ResultCache(str(tmp_path)), concurrency=1,
+        max_active_per_tenant=1,
+    )
+    try:
+        first = submit_run(table, tenant="alice")
+        assert wait_terminal(table, first.job_id).state == "done"
+        release = threading.Event()
+
+        def fake_run(config, cache=None, tracer=None):
+            assert release.wait(60.0), "test never released the gate"
+            return {"sentinel": config.seed}
+
+        monkeypatch.setattr(jobs_mod, "api_run", fake_run)
+        for _ in range(3):
+            hit = submit_run(table, tenant="alice")
+            assert hit.cache_hit and hit.state == "done"
+        held = submit_run(table, payload={**TINY, "seed": 9}, tenant="alice")
+        assert held.state in ("queued", "running")
+        with pytest.raises(QuotaExceeded):
+            submit_run(table, payload={**TINY, "seed": 10}, tenant="alice")
+        release.set()
+        wait_terminal(table, held.job_id)
+    finally:
+        table.shutdown()
+
+
 # ----------------------------------------------------------------------
 # Cancellation
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.experiments.stats import ci_series
 from repro.serve.jobs import JobTable
 from repro.serve.protocol import (
     TERMINAL_STATES,
@@ -179,5 +180,28 @@ def test_adaptive_gateway_tenure_submit_is_accepted():
         assert fig.precision is not None and fig.precision.all_met
         assert fig.seeds == [3, 4]
         assert "ecgrid:tenure_s" in fig.series
+    finally:
+        table.shutdown()
+
+
+def test_served_adaptive_figure_bands_use_the_policy_confidence():
+    # The policy fields leave the figure kwargs for the job's engine, so
+    # figure() must take the CI level from that engine's policy.
+    table = JobTable(cache=None, concurrency=1)
+    try:
+        view = table.submit(SubmitRequest(
+            kind="figure",
+            payload={
+                "name": "fig4", "scale": 0.06, "seed": 3,
+                "target_ci": 1e9, "min_seeds": 3, "max_seeds": 3,
+                "confidence": 0.5,
+            },
+        ))
+        done = wait_terminal(table, view.job_id)
+        assert done.state == "done", done.error
+        fig = table.result_of(view.job_id)
+        assert fig.precision.policy.confidence == 0.5
+        assert fig.ci["ecgrid"] == ci_series(fig.raw["ecgrid"], 0.5)
+        assert fig.ci["ecgrid"] != ci_series(fig.raw["ecgrid"], 0.95)
     finally:
         table.shutdown()
